@@ -34,6 +34,7 @@ counted in its metrics registry under ``campaign.*``.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import multiprocessing as mp
 import os
@@ -41,8 +42,7 @@ import random as _random
 import time
 import traceback
 import warnings
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
@@ -405,37 +405,33 @@ def execute_spec(record: dict) -> dict:
     }
 
 
+def _error_message(exc: BaseException) -> tuple:
+    """The ``("err", name, message, traceback, retryable, diagnostics)``
+    message an attempt reports when its task raised ``exc``."""
+    return (
+        "err",
+        type(exc).__name__,
+        str(exc),
+        traceback.format_exc(),
+        bool(getattr(exc, "retryable", False)),
+        dict(getattr(exc, "diagnostics", None) or {}) or None,
+    )
+
+
 def _worker_main(conn, task, record: dict, telemetry: dict | None = None) -> None:
     """Subprocess entry: run the task, ship ok/err through the pipe.
 
     ``telemetry`` (when campaign telemetry is enabled) carries the
-    relay configuration — ``{"run", "worker", "sample"}`` — and installs
-    a :class:`~repro.obs.aggregate.TelemetryRelay` streaming through
-    the same ``conn`` as interleaved ``("telemetry", envelope)`` tuples.
+    relay's ``{"run", "worker"}`` and installs a
+    :class:`~repro.obs.aggregate.TelemetryRelay` streaming through the
+    same ``conn`` as interleaved ``("telemetry", envelope)`` tuples.
     """
     if telemetry is not None:
-        set_current_relay(
-            TelemetryRelay(
-                conn.send,
-                run=telemetry["run"],
-                worker=telemetry.get("worker", 0),
-                sample=telemetry.get("sample"),
-            )
-        )
+        set_current_relay(TelemetryRelay(conn.send, **telemetry))
     try:
-        payload = task(record)
-        conn.send(("ok", payload))
+        conn.send(("ok", task(record)))
     except BaseException as exc:  # noqa: BLE001 - everything becomes data
-        conn.send(
-            (
-                "err",
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-                bool(getattr(exc, "retryable", False)),
-                dict(getattr(exc, "diagnostics", None) or {}) or None,
-            )
-        )
+        conn.send(_error_message(exc))
     finally:
         set_current_relay(None)
         conn.close()
@@ -444,12 +440,22 @@ def _worker_main(conn, task, record: dict, telemetry: dict | None = None) -> Non
 # ======================================================================
 # The executor
 # ======================================================================
-@dataclass
+#: Growth factor of the retry backoff: ``backoff * 2**(attempt - 1)``.
+BACKOFF_FACTOR = 2.0
+
+#: Longest single wait while a ``stop`` hook needs polling (seconds).
+STOP_POLL = 0.25
+
+
+@dataclass(order=True)
 class _Attempt:
-    spec: RunSpec
-    attempt: int = 1
-    ready_at: float = 0.0
-    started: float = 0.0
+    """One attempt at a cell; the queue pops by ``(ready_at, index)``."""
+
+    ready_at: float
+    index: int                        # spec order: breaks ready_at ties
+    spec: RunSpec = field(compare=False)
+    attempt: int = field(default=1, compare=False)
+    started: float = field(default=0.0, compare=False)
 
 
 class CampaignExecutor:
@@ -458,7 +464,8 @@ class CampaignExecutor:
     ``jobs=0`` executes inline in this process (no isolation, timeouts
     unenforced — the mode unit tests and debuggers want); ``jobs>=1``
     fans out over that many worker processes with per-run wall-clock
-    ``timeout`` seconds enforced by terminating the worker.
+    ``timeout`` seconds enforced by terminating the worker.  Both go
+    through the same scheduling loop; only how an attempt runs differs.
 
     ``task`` maps a spec record dict to a result payload dict and
     defaults to :func:`execute_spec`; tests inject flaky tasks through
@@ -467,7 +474,7 @@ class CampaignExecutor:
     tests.
 
     Retry backoff is exponential with seeded multiplicative *jitter*
-    (``delay = backoff * factor**(attempt-1) * (1 + jitter * u)``,
+    (``delay = backoff * 2**(attempt-1) * (1 + jitter * u)``,
     ``u ~ U[0,1)`` from ``random.Random(jitter_seed)``), so a burst of
     simultaneous failures does not re-launch in lockstep; ``jitter=0``
     restores the pure exponential schedule.
@@ -479,11 +486,12 @@ class CampaignExecutor:
     hung-worker replacement mechanism.
 
     ``stop`` is a zero-argument drain hook polled between launches:
-    once it returns true, no further cell is started, active workers
-    are terminated *without journaling* their unfinished cells, and
-    :meth:`run` returns only the cells that settled — the journal plus
-    a later ``resume=True`` run picks up exactly where the drain cut
-    off.
+    once it returns true, no further cell is started, results already
+    waiting in worker pipes are settled and journaled, the remaining
+    workers are terminated *without journaling* their unfinished cells,
+    and :meth:`run` returns only the cells that settled — the journal
+    plus a later ``resume=True`` run picks up exactly where the drain
+    cut off.
     """
 
     def __init__(
@@ -492,7 +500,6 @@ class CampaignExecutor:
         timeout: float | None = None,
         retries: int = 2,
         backoff: float = 0.5,
-        backoff_factor: float = 2.0,
         jitter: float = 0.1,
         jitter_seed: int = 0,
         retry_timeouts: bool = False,
@@ -501,7 +508,6 @@ class CampaignExecutor:
         sleep=time.sleep,
         clock=time.monotonic,
         telemetry=None,
-        telemetry_sample: dict | None = None,
         stop=None,
     ):
         if jobs < 0:
@@ -514,7 +520,6 @@ class CampaignExecutor:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.backoff_factor = backoff_factor
         self.jitter = jitter
         self.retry_timeouts = retry_timeouts
         self.task = task or execute_spec
@@ -522,7 +527,6 @@ class CampaignExecutor:
         # Campaign telemetry: a repro.obs.aggregate.TelemetryAggregator
         # receiving worker relay streams (None = telemetry off).
         self.telemetry = telemetry
-        self.telemetry_sample = telemetry_sample
         self.stop = stop
         self._jitter_rng = _random.Random(jitter_seed)
         self._worker_counter = 0
@@ -562,341 +566,229 @@ class CampaignExecutor:
             self.telemetry.register_specs(specs)
 
         outcomes: dict[str, RunOutcome] = {}
-        pending: deque[_Attempt] = deque()
-        for spec in specs:
+        queue: list[_Attempt] = []    # in (ready_at, index) order: a heap
+        for index, spec in enumerate(specs):
             if spec.key in completed:
                 outcomes[spec.key] = completed[spec.key]
                 if self.telemetry is not None:
                     self.telemetry.on_run_settled(completed[spec.key])
             else:
-                pending.append(_Attempt(spec))
+                queue.append(_Attempt(0.0, index, spec))
 
-        if pending:
-            execute = self._run_inline if self.jobs == 0 else self._run_pool
-            execute(pending, outcomes, journal)
+        if queue:
+            self._schedule(queue, outcomes, journal)
         # A drain (``stop`` hook) leaves unfinished cells unsettled;
         # they are simply absent from the returned list and stay
         # resumable from the journal.
         return [outcomes[spec.key] for spec in specs if spec.key in outcomes]
 
-    # -- shared bookkeeping --------------------------------------------
-    def _stopping(self) -> bool:
-        return self.stop is not None and bool(self.stop())
-
     def _backoff_delay(self, attempt: int) -> tuple[float, float]:
         """``(base, jittered)`` delay before re-attempting."""
-        base = self.backoff * (self.backoff_factor ** (attempt - 1))
+        base = self.backoff * (BACKOFF_FACTOR ** (attempt - 1))
         if self.jitter <= 0:
             return base, base
         return base, base * (1.0 + self.jitter * self._jitter_rng.random())
 
-    def _settle(
-        self,
-        item: _Attempt,
-        outcome: RunOutcome,
-        outcomes: dict,
-        journal,
-    ) -> None:
-        outcomes[item.spec.key] = outcome
-        if journal is not None:
-            journal.append(outcome)
-        if self.telemetry is not None:
-            self.telemetry.on_run_settled(outcome)
-        if outcome.ok:
-            self._emit(
-                "run_finished", item.spec, attempts=outcome.attempts,
-            )
-        else:
-            self._emit(
-                "run_failed",
-                item.spec,
-                kind=outcome.failure.kind,
-                exception=outcome.failure.exception,
-                attempts=outcome.attempts,
-            )
+    # -- the scheduling loop -------------------------------------------
+    def _schedule(self, queue: list[_Attempt], outcomes: dict, journal) -> None:
+        """Run every queued attempt to a settled outcome (or a drain).
 
-    def _failure(
-        self,
-        item: _Attempt,
-        kind: str,
-        exception: str,
-        message: str,
-        tb: str,
-        diagnostics: dict | None = None,
-    ) -> RunFailure:
-        return RunFailure(
-            kind=kind,
-            exception=exception,
-            message=message,
-            traceback=tb,
-            config_digest=item.spec.config_digest(),
-            seed=item.spec.seed,
-            diagnostics=diagnostics,
-        )
-
-    def _should_retry(self, item: _Attempt, kind: str) -> bool:
-        return kind == RETRYABLE and item.attempt <= self.retries
-
-    def _requeue(self, item: _Attempt, pending: deque) -> None:
-        backoff, delay = self._backoff_delay(item.attempt)
-        self._emit(
-            "run_retried", item.spec,
-            attempt=item.attempt, backoff=backoff, delay=delay,
-        )
-        if self.telemetry is not None:
-            self.telemetry.on_run_retried(item.spec.key)
-        pending.append(
-            _Attempt(
-                item.spec,
-                attempt=item.attempt + 1,
-                ready_at=self._clock() + delay,
-            )
-        )
-
-    # -- inline (jobs == 0) --------------------------------------------
-    def _run_inline(self, pending: deque, outcomes: dict, journal) -> None:
-        while pending:
-            if self._stopping():
-                return
-            item = pending.popleft()
-            now = self._clock()
-            if item.ready_at > now:
-                self._sleep(item.ready_at - now)
-            self._emit("run_started", item.spec, attempt=item.attempt)
-            started = self._clock()
-            relay = None
-            if self.telemetry is not None:
-                aggregator = self.telemetry
-                aggregator.on_run_started(item.spec.key, item.attempt)
-                self._worker_counter += 1
-                # Inline mode short-circuits the pipe: the relay's send
-                # feeds the aggregator directly.
-                relay = TelemetryRelay(
-                    lambda msg: aggregator.ingest(msg[1]),
-                    run=item.spec.key,
-                    worker=self._worker_counter,
-                    sample=self.telemetry_sample,
-                )
-                set_current_relay(relay)
-            try:
-                payload = self.task(item.spec.as_record())
-            except Exception as exc:  # noqa: BLE001
-                kind = classify_exception(
-                    type(exc).__name__, bool(getattr(exc, "retryable", False))
-                )
-                if self._should_retry(item, kind):
-                    self._requeue(item, pending)
-                    continue
-                failure = self._failure(
-                    item,
-                    kind,
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                    dict(getattr(exc, "diagnostics", None) or {}) or None,
-                )
-                outcome = RunOutcome(
-                    spec=item.spec,
-                    status="failed",
-                    attempts=item.attempt,
-                    failure=failure,
-                    duration=self._clock() - started,
-                )
-            else:
-                outcome = RunOutcome(
-                    spec=item.spec,
-                    status="ok",
-                    attempts=item.attempt,
-                    stats=payload.get("stats"),
-                    validated=payload.get("validated", False),
-                    halted=payload.get("halted", False),
-                    duration=self._clock() - started,
-                )
-            finally:
-                if relay is not None:
-                    set_current_relay(None)
-            self._settle(item, outcome, outcomes, journal)
-
-    # -- process pool (jobs >= 1) --------------------------------------
-    def _run_pool(self, pending: deque, outcomes: dict, journal) -> None:
+        One loop for both modes: launch due attempts into free slots,
+        wait for the next event, and settle each result through
+        ``on_message``.  An inline attempt (``jobs=0``) calls the task
+        in this process and finishes inside ``launch``; a pool attempt
+        forks a worker and holds a slot until its pipe reports, closes,
+        or its deadline passes.  Both speak the messages
+        :func:`_worker_main` sends.
+        """
+        slots = max(self.jobs, 1)
+        active: dict = {}   # pool only: result pipe -> (process, attempt)
         ctx = mp.get_context()
-        active: list[dict] = []   # {"proc", "conn", "item"}
+
+        def on_message(item: _Attempt, msg: tuple) -> None:
+            """Relay telemetry; on the final message, settle or retry."""
+            if msg[0] == "telemetry":
+                if self.telemetry is not None:
+                    self.telemetry.ingest(msg[1])
+                return
+            payload: dict = {}
+            failure: RunFailure | None = None
+            if msg[0] == "ok":
+                status, payload = "ok", msg[1]
+            else:
+                if msg[0] == "timeout":
+                    status = kind = TIMEOUT
+                    retry = self.retry_timeouts
+                    name, tb, diag = "RunTimeout", "", None
+                    message = f"exceeded {self.timeout}s wall-clock limit"
+                else:  # ("err", name, message, traceback, retryable, diag)
+                    _, name, message, tb, retryable, diag = msg
+                    kind = classify_exception(name, retryable)
+                    status, retry = "failed", kind == RETRYABLE
+                if retry and item.attempt <= self.retries:
+                    backoff, delay = self._backoff_delay(item.attempt)
+                    self._emit(
+                        "run_retried", item.spec,
+                        attempt=item.attempt, backoff=backoff, delay=delay,
+                    )
+                    if self.telemetry is not None:
+                        self.telemetry.on_run_retried(item.spec.key)
+                    heapq.heappush(queue, _Attempt(
+                        self._clock() + delay, item.index, item.spec,
+                        attempt=item.attempt + 1,
+                    ))
+                    return
+                failure = RunFailure(
+                    kind=kind,
+                    exception=name,
+                    message=message,
+                    traceback=tb,
+                    config_digest=item.spec.config_digest(),
+                    seed=item.spec.seed,
+                    diagnostics=diag,
+                )
+            outcome = RunOutcome(
+                spec=item.spec,
+                status=status,
+                attempts=item.attempt,
+                stats=payload.get("stats"),
+                validated=payload.get("validated", False),
+                halted=payload.get("halted", False),
+                failure=failure,
+                duration=self._clock() - item.started,
+            )
+            outcomes[item.spec.key] = outcome
+            if journal is not None:
+                journal.append(outcome)
+            if self.telemetry is not None:
+                self.telemetry.on_run_settled(outcome)
+            if outcome.ok:
+                self._emit("run_finished", item.spec, attempts=item.attempt)
+            else:
+                self._emit(
+                    "run_failed",
+                    item.spec,
+                    kind=failure.kind,
+                    exception=failure.exception,
+                    attempts=item.attempt,
+                )
 
         def launch(item: _Attempt) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            telemetry = None
+            relay = None
             if self.telemetry is not None:
                 # A fresh worker id per launch gives every attempt its
                 # own sequence-number space in the aggregator.
                 self._worker_counter += 1
-                telemetry = {
-                    "run": item.spec.key,
-                    "worker": self._worker_counter,
-                    "sample": self.telemetry_sample,
-                }
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, self.task, item.spec.as_record(), telemetry),
-                daemon=True,
-            )
+                relay = {"run": item.spec.key, "worker": self._worker_counter}
             item.started = self._clock()
-            proc.start()
-            child_conn.close()
             self._emit("run_started", item.spec, attempt=item.attempt)
             if self.telemetry is not None:
                 self.telemetry.on_run_started(item.spec.key, item.attempt)
-            active.append({"proc": proc, "conn": parent_conn, "item": item})
-
-        def reap(entry: dict, msg) -> None:
-            active.remove(entry)
-            entry["conn"].close()
-            entry["proc"].join()
-            item = entry["item"]
-            duration = self._clock() - item.started
-            if msg is not None and msg[0] == "ok":
-                outcome = RunOutcome(
-                    spec=item.spec,
-                    status="ok",
-                    attempts=item.attempt,
-                    stats=msg[1].get("stats"),
-                    validated=msg[1].get("validated", False),
-                    halted=msg[1].get("halted", False),
-                    duration=duration,
+            if self.jobs:
+                parent_conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, self.task, item.spec.as_record(), relay),
+                    daemon=True,
                 )
-                self._settle(item, outcome, outcomes, journal)
+                proc.start()
+                child_conn.close()
+                active[parent_conn] = (proc, item)
                 return
-            if msg is not None:  # ("err", name, message, tb, retryable, diag)
-                _, name, message, tb, retryable, diag = msg
-                kind = classify_exception(name, retryable)
-            else:  # pipe closed without a message: the worker died
-                name = "WorkerDied"
-                message = f"worker exited with code {entry['proc'].exitcode}"
-                tb, diag = "", None
-                kind = RETRYABLE
-            if self._should_retry(item, kind):
-                self._requeue(item, pending)
-                return
-            failure = self._failure(item, kind, name, message, tb, diag)
-            self._settle(
-                item,
-                RunOutcome(
-                    spec=item.spec,
-                    status="failed",
-                    attempts=item.attempt,
-                    failure=failure,
-                    duration=duration,
-                ),
-                outcomes,
-                journal,
-            )
+            if relay is not None:
+                # Inline mode short-circuits the pipe: the relay's
+                # messages go straight to on_message.
+                set_current_relay(TelemetryRelay(
+                    lambda msg: on_message(item, msg), **relay
+                ))
+            try:
+                msg = ("ok", self.task(item.spec.as_record()))
+            except Exception as exc:  # noqa: BLE001
+                msg = _error_message(exc)
+            finally:
+                if relay is not None:
+                    set_current_relay(None)
+            on_message(item, msg)
 
-        def cancel(entry: dict) -> None:
-            """Terminate an over-deadline worker: replace it with a
-            fresh attempt when ``retry_timeouts`` allows, otherwise
-            journal a terminal timeout cell."""
-            active.remove(entry)
-            entry["conn"].close()
-            proc, item = entry["proc"], entry["item"]
-            proc.terminate()
+        def retire(conn, terminate: bool = False):
+            """Free a worker's slot and reap its process."""
+            proc, _ = active.pop(conn)
+            conn.close()
+            if terminate:
+                proc.terminate()
             proc.join()
-            if self.retry_timeouts and self._should_retry(item, RETRYABLE):
-                self._requeue(item, pending)
-                return
-            failure = self._failure(
-                item,
-                TIMEOUT,
-                "RunTimeout",
-                f"exceeded {self.timeout}s wall-clock limit",
-                "",
-            )
-            self._settle(
-                item,
-                RunOutcome(
-                    spec=item.spec,
-                    status="timeout",
-                    attempts=item.attempt,
-                    failure=failure,
-                    duration=self._clock() - item.started,
-                ),
-                outcomes,
-                journal,
-            )
+            return proc
 
-        while pending or active:
-            if self._stopping():
-                # Graceful drain: terminate active workers without
-                # journaling their cells (the journal keeps only
-                # *settled* cells, so resume recomputes exactly these).
-                for entry in list(active):
-                    entry["conn"].close()
-                    entry["proc"].terminate()
-                    entry["proc"].join()
-                active.clear()
-                pending.clear()
+        def read(conn) -> None:
+            """Handle every message waiting on a worker's pipe."""
+            item = active[conn][1]
+            while True:
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    # The pipe closed without a report: the worker died.
+                    proc = retire(conn)
+                    on_message(item, (
+                        "err", "WorkerDied",
+                        f"worker exited with code {proc.exitcode}",
+                        "", True, None,
+                    ))
+                    return
+                if msg[0] != "telemetry":
+                    retire(conn)
+                    on_message(item, msg)
+                    return
+                on_message(item, msg)
+                if not conn.poll():
+                    return
+
+        while queue or active:
+            if self.stop is not None and self.stop():
+                # Drain: settle every result already waiting in a pipe,
+                # then terminate the rest without journaling their
+                # cells (the journal keeps only *settled* cells, so a
+                # resume recomputes exactly these).
+                for conn in [c for c in active if c.poll()]:
+                    read(conn)
+                for conn in list(active):
+                    retire(conn, terminate=True)
                 return
-            now = self._clock()
-            # Launch every ready pending item into free slots.
-            launched = True
-            while launched and len(active) < self.jobs:
-                launched = False
-                for i, item in enumerate(pending):
-                    if item.ready_at <= now:
-                        del pending[i]
-                        launch(item)
-                        launched = True
-                        break
-            if not active:
-                # Everything pending is backing off; sleep to the first
-                # (in short slices when a drain hook could fire).
-                next_ready = min(item.ready_at for item in pending)
-                doze = max(0.0, next_ready - self._clock())
-                if self.stop is not None:
-                    doze = min(doze, 0.25)
-                self._sleep(doze)
-                continue
-            # Wait for a result, the nearest deadline, or the next
-            # backoff expiry — whichever comes first.
-            wait_for = 60.0 if self.stop is None else 0.25
-            if self.timeout is not None:
-                nearest = min(
-                    e["item"].started + self.timeout for e in active
-                )
-                wait_for = min(wait_for, max(0.0, nearest - now))
-            if pending:
-                next_ready = min(item.ready_at for item in pending)
-                wait_for = min(wait_for, max(0.0, next_ready - now))
-            ready = _conn_wait([e["conn"] for e in active], timeout=wait_for)
-            for conn in ready:
-                entry = next(e for e in active if e["conn"] is conn)
-                # Drain interleaved telemetry without reaping: the
-                # worker is still running until it ships ok/err (or
-                # dies, closing the pipe).
-                while True:
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        reap(entry, None)
-                        break
-                    if (
-                        isinstance(msg, tuple)
-                        and msg
-                        and msg[0] == "telemetry"
-                    ):
-                        if self.telemetry is not None:
-                            self.telemetry.ingest(msg[1])
-                        if conn.poll():
-                            continue
-                        break
-                    reap(entry, msg)
+            # Launch due attempts into free slots.  With nothing
+            # running, sleep until the next backoff expires (in short
+            # slices when a drain hook could fire).
+            for _ in range(slots - len(active)):
+                if not queue:
                     break
+                delay = queue[0].ready_at - self._clock()
+                if delay > 0:
+                    if active:
+                        break
+                    if self.stop is not None and delay > STOP_POLL:
+                        self._sleep(STOP_POLL)
+                        break
+                    self._sleep(delay)
+                launch(heapq.heappop(queue))
+            if not active:
+                continue
+            # Wait for a result, the nearest deadline, or — while a
+            # slot is free — the next backoff expiry.
+            wake = []
+            if self.timeout is not None:
+                wake = [item.started + self.timeout for _, item in active.values()]
+            if queue and len(active) < slots:
+                wake.append(queue[0].ready_at)
+            timeout = STOP_POLL if self.stop is not None else None
+            if wake:
+                until = max(0.0, min(wake) - self._clock())
+                timeout = until if timeout is None else min(timeout, until)
+            for conn in _conn_wait(list(active), timeout):
+                read(conn)
             if self.timeout is not None:
                 now = self._clock()
-                for entry in [
-                    e
-                    for e in active
-                    if now - e["item"].started > self.timeout
-                ]:
-                    cancel(entry)
+                for conn, (_, item) in list(active.items()):
+                    if now - item.started >= self.timeout:
+                        retire(conn, terminate=True)
+                        on_message(item, ("timeout",))
 
 
 # ======================================================================

@@ -37,9 +37,9 @@ from typing import Callable
 from .events import EVENT_TYPES, Event
 from .metrics import Histogram
 
-#: Default per-type sampling periods (forward 1 of every N).  The
-#: high-volume attribution feeds would otherwise dominate the pipe;
-#: everything not listed here is forwarded unsampled.
+#: Per-type sampling periods (forward 1 of every N), the relay's fixed
+#: policy.  The high-volume attribution feeds would otherwise dominate
+#: the pipe; everything not listed here is forwarded unsampled.
 DEFAULT_SAMPLE_PERIODS: dict[str, int] = {
     "branch_retire": 64,
     "branch_resolved": 16,
@@ -73,16 +73,12 @@ class TelemetryRelay:
         send: Callable[[tuple], None],
         run: str,
         worker: int = 0,
-        sample: dict[str, int] | None = None,
         snapshot_every: int = 2048,
     ):
         self._send_raw = send
         self.run = run
         self.worker = worker
         self._seq = 0
-        self._sample = dict(DEFAULT_SAMPLE_PERIODS)
-        if sample:
-            self._sample.update(sample)
         self._snapshot_every = snapshot_every
         self._since_snapshot = 0
         self._emitted: dict[str, int] = {}
@@ -102,7 +98,7 @@ class TelemetryRelay:
         type_ = event.type
         n = self._emitted.get(type_, 0) + 1
         self._emitted[type_] = n
-        period = self._sample.get(type_, 1)
+        period = DEFAULT_SAMPLE_PERIODS.get(type_, 1)
         if period > 1 and (n - 1) % period:
             self.dropped[type_] = self.dropped.get(type_, 0) + 1
         else:

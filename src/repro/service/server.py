@@ -162,6 +162,12 @@ class SimulationService:
         self._task = task
         self._next_seq = 1
         self._active_job: Job | None = None
+        # Wakeups instead of fixed-interval polling: ``_work`` rouses
+        # the idle dispatcher (submit, restart replay, drain); ``_idle``
+        # is set while no job runs, which is what a drain waits for.
+        self._work = asyncio.Event()
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._stop_event: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._replay()
@@ -186,7 +192,7 @@ class SimulationService:
         for job_id in replay.unfinished:
             job = self.jobs[job_id]
             job.state = QUEUED
-            self.queue.push(job)
+            self._enqueue(job)
             self._emit("job_resumed", job_id=job.id, priority=job.spec.priority)
 
     async def serve(self) -> int:
@@ -244,23 +250,33 @@ class SimulationService:
         if self.draining:
             return
         self.draining = True
+        self._work.set()   # an idle dispatcher wakes up and exits
         self._emit("service_drain", active=self._active_job is not None)
-        deadline = time.monotonic() + self.config.drain_deadline
         # The executor's ``stop`` hook sees ``self.draining`` and halts
         # between cells; we wait for the in-flight job to checkpoint.
-        while self._active_job is not None and time.monotonic() < deadline:
-            await asyncio.sleep(0.05)
+        try:
+            await asyncio.wait_for(
+                self._idle.wait(), self.config.drain_deadline
+            )
+        except asyncio.TimeoutError:
+            pass
         assert self._stop_event is not None
         self._stop_event.set()
 
     # -- dispatch -------------------------------------------------------
+    def _enqueue(self, job: Job) -> None:
+        self.queue.push(job)
+        self._work.set()
+
     async def _dispatch_loop(self) -> None:
         while not self.draining:
             job = self.queue.pop()
             if job is None:
-                await asyncio.sleep(0.05)
+                self._work.clear()
+                await self._work.wait()
                 continue
             self._active_job = job
+            self._idle.clear()
             job.state = RUNNING
             job.last_beat = time.monotonic()
             self._emit("job_started", job_id=job.id, resumed=job.resumed)
@@ -283,6 +299,7 @@ class SimulationService:
                 self.journal.done(job)
                 self._emit("job_finished", job_id=job.id, status=status)
             self._active_job = None
+            self._idle.set()
 
     def _execute_job(self, job: Job):
         """Runner-thread body: cache → executor → deterministic report.
@@ -552,7 +569,7 @@ class SimulationService:
         self.jobs[job.id] = job
         if token:
             self.tokens[token] = job.id
-        self.queue.push(job)
+        self._enqueue(job)
         self._emit(
             "job_submitted", job_id=job.id, priority=spec.priority,
             cells=len(spec.workloads) * len(spec.modes),

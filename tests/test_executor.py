@@ -3,6 +3,7 @@ per-run timeouts, checkpoint kill-and-resume, failure records,
 run-lifecycle telemetry, and parallel/serial determinism."""
 
 import json
+import multiprocessing as mp
 import os
 import time
 import warnings
@@ -452,6 +453,30 @@ def marker_task(record):
     return ok_task(record)
 
 
+def gated_task(record):
+    """Blocks until the parent's ``stop`` hook opens a gate file, then
+    completes — lets a drain test order "result in the pipe" before
+    "hook turns true" without timing assumptions."""
+    gate = os.path.join(os.environ["FLAKY_DIR"], "gate")
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(gate) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return ok_task(record)
+
+
+def sleepy_task(record):
+    """Half a second per attempt; a ``flaky`` cell fails its first
+    attempt at once (marker files, so it works across processes)."""
+    if record["workload"] == "flaky":
+        marker = os.path.join(os.environ["FLAKY_DIR"], "sleepy_flaky")
+        if not os.path.exists(marker):
+            with open(marker, "w") as fh:
+                fh.write("attempted")
+            raise OSError("transient worker failure")
+    time.sleep(0.5)
+    return ok_task(record)
+
+
 class TestBackoffJitter:
     def test_jitter_is_seeded_and_bounded(self):
         def always_down(record):
@@ -568,6 +593,63 @@ class TestDrainStop:
         )
         assert len(resumed) == len(SPECS)
         assert all(o.ok for o in resumed)
+
+
+    def test_pool_stop_settles_results_already_in_pipes(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("FLAKY_DIR", str(tmp_path))
+        path = tmp_path / "cp.jsonl"
+        calls = []
+
+        def stop():
+            calls.append(1)
+            if len(calls) == 1:
+                return False   # let the first cell launch
+            # Open the gate and wait for the worker to exit: its
+            # ("ok", ...) now sits unread in the pipe as the hook
+            # turns true.
+            (tmp_path / "gate").write_text("open")
+            for child in mp.active_children():
+                child.join(30.0)
+                assert not child.is_alive()
+            return True
+
+        outcomes = CampaignExecutor(
+            jobs=1, task=gated_task, stop=stop,
+        ).run(SPECS, checkpoint=path)
+        assert [o.key for o in outcomes] == [SPECS[0].key]
+        assert outcomes[0].ok
+        assert list(load_checkpoint(path)) == [SPECS[0].key]
+
+
+class TestNoBusyWait:
+    """The coordinator blocks on worker pipes, deadlines and backoff
+    expiries; it must not spin while every slot is busy."""
+
+    @pytest.mark.parametrize(
+        "workloads",
+        [
+            ["a", "b", "c", "d", "e", "f"],
+            ["a", "b", "flaky", "c", "d", "e"],
+        ],
+        ids=["cells-wait-for-slots", "retry-backs-off-while-slots-busy"],
+    )
+    def test_coordinator_cpu_stays_small(
+        self, tmp_path, monkeypatch, workloads
+    ):
+        monkeypatch.setenv("FLAKY_DIR", str(tmp_path))
+        specs = [RunSpec(w, "baseline", "tiny") for w in workloads]
+        executor = CampaignExecutor(jobs=2, backoff=0.05, task=sleepy_task)
+        cpu, wall = time.process_time(), time.monotonic()
+        outcomes = executor.run(specs)
+        cpu = time.process_time() - cpu
+        wall = time.monotonic() - wall
+        assert all(o.ok for o in outcomes)
+        assert sum(o.attempts for o in outcomes) == len(specs) + (
+            "flaky" in workloads
+        )
+        assert cpu <= 0.1 * wall, f"coordinator used {cpu:.3f}s CPU in {wall:.3f}s"
 
 
 class TestTornJournalRecovery:

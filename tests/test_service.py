@@ -27,6 +27,7 @@ from repro.service import (
     cache_key,
     replay_journal,
 )
+from repro.service.jobs import DONE, RUNNING
 
 # ----------------------------------------------------------------------
 # Module-level tasks (process-mode workers pickle the callable).
@@ -433,3 +434,59 @@ class TestServiceHTTP:
         assert metrics["cache"]["integrity_failures"] == 0
         assert metrics["counters"]["service.job_submitted"] == 1
         assert metrics["counters"]["service.job_finished"] == 1
+
+
+# ======================================================================
+# Dispatcher and drain wakeups (no fixed-interval polling)
+# ======================================================================
+class _Writer:
+    """Stand-in for an HTTP response stream."""
+
+    def write(self, data):
+        self.data = data
+
+
+async def _yield_loop(turns=5):
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+class TestServiceWakeups:
+    def test_submit_wakes_dispatcher_and_drain_follows_settle(
+        self, tmp_path
+    ):
+        started, gate = threading.Event(), threading.Event()
+
+        def gated_task(record):
+            started.set()
+            gate.wait(10.0)
+            return ok_task(record)
+
+        service = SimulationService(
+            ServiceConfig(state_dir=tmp_path / "state", workers=0),
+            task=gated_task,
+        )
+
+        async def scenario():
+            service._stop_event = asyncio.Event()
+            dispatcher = asyncio.create_task(service._dispatch_loop())
+            await _yield_loop()   # the dispatcher parks on the empty queue
+            service._submit(json.dumps({"workloads": ["xz"]}).encode(),
+                            _Writer())
+            [job] = service.jobs.values()
+            # A few loop turns, no timer: the submit itself woke it.
+            await _yield_loop()
+            assert job.state == RUNNING
+            assert await asyncio.to_thread(started.wait, 10.0)
+            drain = asyncio.create_task(service._drain())
+            await _yield_loop()
+            assert not drain.done()   # the job is still running
+            gate.set()
+            await asyncio.wait_for(dispatcher, 10.0)
+            assert job.state == DONE
+            # The drain returns a few loop turns after the settle.
+            await _yield_loop()
+            assert drain.done()
+            assert service._stop_event.is_set()
+
+        asyncio.run(scenario())

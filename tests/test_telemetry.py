@@ -40,21 +40,21 @@ class _Sink:
 def test_relay_samples_and_counts_drops():
     """1-in-N sampling forwards exactly ceil(n/N) and counts the rest."""
     sink = _Sink()
-    relay = TelemetryRelay(
-        sink.send, run="w/m", sample={"branch_retire": 4}, snapshot_every=10**9
-    )
+    relay = TelemetryRelay(sink.send, run="w/m", snapshot_every=10**9)
     obs = Observation(record_events=False)
     relay.attach(obs)
-    for i in range(10):
+    period = DEFAULT_SAMPLE_PERIODS["branch_retire"]
+    emitted = 2 * period + 2
+    for i in range(emitted):
         obs.bus.emit("branch_retire", pc=64, mispredicted=False)
     events = [m for m in sink.messages if m[1]["kind"] == "event"]
-    assert len(events) == 3  # indices 0, 4, 8
-    assert relay.dropped == {"branch_retire": 7}
+    assert len(events) == 3  # indices 0, period, 2 * period
+    assert relay.dropped == {"branch_retire": emitted - 3}
     relay.send_snapshot()
     snapshot = sink.messages[-1][1]
     assert snapshot["kind"] == "snapshot"
-    assert snapshot["payload"]["dropped"] == {"branch_retire": 7}
-    assert snapshot["payload"]["emitted"] == {"branch_retire": 10}
+    assert snapshot["payload"]["dropped"] == {"branch_retire": emitted - 3}
+    assert snapshot["payload"]["emitted"] == {"branch_retire": emitted}
 
 
 def test_relay_unsampled_types_forward_everything():
