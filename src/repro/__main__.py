@@ -52,9 +52,9 @@ Examples::
         --seeds 2 --out INJECT_report.json
     python -m repro run mcf --mode tea --trace-out trace.json
     python -m repro run bfs,mcf,xz --modes baseline,tea --jobs 4 \\
-        --timeout 600 --checkpoint campaign.jsonl
+        --timeout 600 --checkpoint campaign.cells
     python -m repro run bfs,mcf,xz --modes baseline,tea --jobs 4 \\
-        --checkpoint campaign.jsonl --resume
+        --checkpoint campaign.cells --resume
     python -m repro run bfs,mcf,xz --modes baseline,tea --jobs 4 \\
         --follow --rollup-out ROLLUP.json
     python -m repro stats mcf --mode tea --top 10
@@ -65,7 +65,7 @@ Examples::
     python -m repro compare mcf --modes baseline,tea,runahead
     python -m repro figure fig8 --workloads bfs,mcf,xz --scale tiny
     python -m repro figure fig5 --scale tiny --jobs 4 --resume \\
-        --checkpoint fig5.jsonl
+        --checkpoint fig5.cells
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def _cmd_run(args) -> int:
             print("--jobs must be >= 0", file=sys.stderr)
             return 2
         if args.resume and not args.checkpoint:
-            print("--resume requires --checkpoint PATH", file=sys.stderr)
+            print("--resume requires --checkpoint DIR", file=sys.stderr)
             return 2
         for mode in modes:
             if mode not in MODES:
@@ -434,7 +434,7 @@ def _cmd_figure(args) -> int:
             print("--jobs must be >= 0", file=sys.stderr)
             return 2
         if args.resume and not args.checkpoint:
-            print("--resume requires --checkpoint PATH", file=sys.stderr)
+            print("--resume requires --checkpoint DIR", file=sys.stderr)
             return 2
         executor = _make_executor(args, observation=Observation())
     suite = ExperimentSuite(
@@ -1091,10 +1091,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "are terminated and the cell marked timeout")
         p.add_argument("--retries", type=int, default=2, metavar="N",
                        help="retry budget for retryable failures")
-        p.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="JSONL journal of completed runs")
+        p.add_argument("--checkpoint", default=None, metavar="DIR",
+                       help="cell store directory: every ok or fatal "
+                            "run is saved there as it settles")
         p.add_argument("--resume", action="store_true",
-                       help="skip runs already in the checkpoint journal")
+                       help="reuse runs already in the checkpoint store")
 
     p_run = sub.add_parser(
         "run", help="simulate workloads (a campaign when several)"
@@ -1360,10 +1361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seeded-bug", default=None, metavar="NAME",
                         help="apply a named repro.fuzz.bugs fixture to the "
                              "pipeline (oracle self-test)")
-    p_fuzz.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="JSONL journal of completed runs")
+    p_fuzz.add_argument("--checkpoint", default=None, metavar="DIR",
+                        help="cell store directory: every ok or fatal "
+                             "run is saved there as it settles")
     p_fuzz.add_argument("--resume", action="store_true",
-                        help="skip runs already in the checkpoint journal")
+                        help="reuse runs already in the checkpoint store")
     p_fuzz.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
     p_fuzz.set_defaults(func=_cmd_fuzz)
@@ -1372,8 +1374,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the fault-tolerant campaign service"
     )
     p_serve.add_argument("--state-dir", required=True, metavar="DIR",
-                         help="durable state: journal, cell checkpoints, "
-                              "result cache, endpoint.json")
+                         help="durable state: job journal, cell store, "
+                              "reports, endpoint.json")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0,
                          help="0 = ephemeral (written to endpoint.json)")
@@ -1392,7 +1394,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="multiplicative retry-backoff jitter (0 = off)")
     p_serve.add_argument("--drain-deadline", type=float, default=30.0,
                          metavar="SEC",
-                         help="max seconds to checkpoint in-flight work "
+                         help="max seconds to settle in-flight work "
                               "after SIGTERM before exiting")
     p_serve.add_argument("--heartbeat-timeout", type=float, default=15.0,
                          metavar="SEC",

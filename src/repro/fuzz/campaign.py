@@ -3,7 +3,7 @@
 A campaign is a list of seeds executed as :class:`RunSpec` cells on the
 existing :class:`~repro.harness.executor.CampaignExecutor` — the fuzzer
 inherits its process pool, per-run wall-clock timeouts, bounded retry,
-and checkpoint/resume journal for free.  Each worker *regenerates* its
+and checkpoint/resume cell store for free.  Each worker *regenerates* its
 program from ``(seed, profile)`` (sources never cross the process
 boundary; determinism makes regeneration exact), runs the oracle stack,
 and ships the classification back as the cell payload.
@@ -22,6 +22,8 @@ diffs two runs of the same batch byte-for-byte.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import partial
 from pathlib import Path
 from typing import Iterable
@@ -51,11 +53,27 @@ def fuzz_spec(
     mode: str = "baseline",
     check_invariants: int = 64,
     max_cycles: int = DEFAULT_MAX_CYCLES,
+    profile_record: dict | None = None,
+    bug: str | None = None,
 ) -> RunSpec:
-    """The campaign cell for one seed (workload name embeds the seed,
-    keeping executor keys unique per cell)."""
+    """The campaign cell for one seed.
+
+    The workload name embeds the seed, keeping executor keys unique per
+    cell.  A non-default generator profile or a seeded bug changes the
+    verdict without changing the seed, so the name then also carries a
+    digest of both: a stored cell is only reused by a campaign that
+    generates and checks the same program.
+    """
+    workload = f"fuzz-{seed:06d}"
+    default = GeneratorProfile().as_record()
+    profile_record = profile_record or default
+    if bug or profile_record != default:
+        variant = json.dumps(
+            {"profile": profile_record, "bug": bug}, sort_keys=True
+        )
+        workload += "-" + hashlib.sha256(variant.encode()).hexdigest()[:12]
     return RunSpec(
-        workload=f"fuzz-{seed:06d}",
+        workload=workload,
         mode=mode,
         scale=FUZZ_SCALE,
         max_cycles=max_cycles,
@@ -161,7 +179,7 @@ def run_fuzz_campaign(
     profile = profile or GeneratorProfile()
     profile_record = profile.as_record()
     specs = [
-        fuzz_spec(seed, mode, check_invariants, max_cycles)
+        fuzz_spec(seed, mode, check_invariants, max_cycles, profile_record, bug)
         for seed in seed_list
     ]
     executor = CampaignExecutor(

@@ -10,10 +10,11 @@ from .bench import (
 )
 from .executor import (
     CampaignExecutor,
+    CellStore,
     RunFailure,
     RunOutcome,
     RunSpec,
-    load_checkpoint,
+    cell_key,
     matrix_specs,
     summarize_outcomes,
 )
@@ -36,6 +37,7 @@ from .sweeps import (
 
 __all__ = [
     "CampaignExecutor",
+    "CellStore",
     "PINNED_RUNS",
     "bench_cell",
     "compare_reports",
@@ -49,9 +51,9 @@ __all__ = [
     "RunSpec",
     "ValidationError",
     "block_cache_sweep",
+    "cell_key",
     "ftq_sweep",
     "h2p_marking_sweep",
-    "load_checkpoint",
     "matrix_specs",
     "prior_work_comparison",
     "summarize_outcomes",

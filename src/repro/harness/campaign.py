@@ -13,6 +13,7 @@ import json
 import warnings
 from pathlib import Path
 
+from .executor import CellStore
 from .experiments import ExperimentSuite
 
 _SCHEMA_VERSION = 1
@@ -43,7 +44,7 @@ def run_to_dict(result) -> dict:
     """The per-run payload kept in a campaign file.
 
     Failed cells (``result.failure`` set) carry their failure kind and
-    message alongside zeroed counters, so a journaled campaign keeps a
+    message alongside zeroed counters, so a stored campaign keeps a
     complete record of the matrix rather than silently dropping cells.
     """
     stats = result.stats
@@ -84,64 +85,29 @@ def save_campaign(suite: ExperimentSuite, path: str | Path) -> Path:
 
 
 def load_campaign(path: str | Path) -> dict:
-    """Load a previously saved campaign (JSON file or JSONL journal).
+    """Load a saved campaign JSON file or a :class:`CellStore` directory.
 
-    Corruption tolerance: a truncated or corrupt trailing JSONL record
-    (the normal aftermath of a crash mid-append) is skipped with a
-    warning rather than raised; a corrupt single-JSON campaign raises a
-    typed :class:`ValueError` naming the file, never a bare
+    Corruption tolerance: a corrupt store entry is evicted with a
+    warning and skipped; a corrupt campaign file raises a typed
+    :class:`ValueError` naming the file, never a bare
     ``JSONDecodeError`` from deep inside the json module.
     """
     path = Path(path)
-    text = path.read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        # Not a single JSON document — either an executor JSONL journal
-        # or a corrupt file.  The tolerant journal loader skips bad
-        # lines; if nothing survives, the file really is corrupt.
-        from .executor import load_checkpoint
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcomes = load_checkpoint(path)
-        if not outcomes:
-            # Nothing survived; the per-line warnings are noise next to
-            # the typed error.
-            raise ValueError(
-                f"corrupt campaign file {path}: {exc}"
-            ) from exc
-        for w in caught:
-            warnings.warn_explicit(
-                w.message, w.category, w.filename, w.lineno
-            )
-        runs = {
-            key: run_to_dict(outcome.run_result())
-            for key, outcome in outcomes.items()
-        }
-        scales = {o.spec.scale for o in outcomes.values()}
+    if path.is_dir():
+        outcomes = CellStore(path).outcomes()
+        scales = {o.spec.scale for o in outcomes}
         return {
             "schema": _SCHEMA_VERSION,
             "scale": scales.pop() if len(scales) == 1 else "mixed",
-            "workloads": sorted({o.spec.workload for o in outcomes.values()}),
-            "runs": runs,
+            "workloads": sorted({o.spec.workload for o in outcomes}),
+            "runs": {o.key: run_to_dict(o.run_result()) for o in outcomes},
         }
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"corrupt campaign file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"corrupt campaign file {path}: not a JSON object")
-    if "spec" in data and "status" in data:
-        # A single-record executor journal parses as plain JSON too.
-        from .executor import load_checkpoint
-
-        outcomes = load_checkpoint(path)
-        return {
-            "schema": _SCHEMA_VERSION,
-            "scale": next(iter(outcomes.values())).spec.scale,
-            "workloads": sorted({o.spec.workload for o in outcomes.values()}),
-            "runs": {
-                key: run_to_dict(outcome.run_result())
-                for key, outcome in outcomes.items()
-            },
-        }
     if data.get("schema") != _SCHEMA_VERSION:
         raise ValueError(f"unsupported campaign schema: {data.get('schema')!r}")
     bad = [key for key, run in data.get("runs", {}).items()

@@ -6,7 +6,7 @@ run throws away hours of completed simulation.  This module fans the
 matrix out over worker processes and turns every failure into data:
 
 * **per-run wall-clock timeouts** — a wedged simulation is terminated
-  (SIGTERM to its worker) and journaled as a ``timeout`` cell;
+  (SIGTERM to its worker) and settled as a ``timeout`` cell;
 * **bounded retry with exponential backoff** — *retryable* failures
   (worker death, OS-level errors, anything raising with a truthy
   ``retryable`` attribute) are re-attempted up to ``retries`` times;
@@ -17,9 +17,11 @@ matrix out over worker processes and turns every failure into data:
 * **structured failure records** — exception class, message, traceback,
   config digest, and seed are captured per failed cell instead of a
   propagated crash;
-* **checkpoint/resume** — every completed cell is appended to a JSONL
-  journal as it finishes (flushed + fsynced), so an interrupted
-  campaign resumes by skipping already-journaled cells.
+* **checkpoint/resume** — every settled cell is written to a
+  content-addressed :class:`CellStore` directory as it finishes
+  (fsynced, atomically replaced), so an interrupted campaign resumes
+  by reading back the cells already stored.  The store keeps only
+  outcomes that are a pure function of the cell: ``ok`` and ``fatal``.
 
 Determinism: each run is an isolated, seeded simulation, so parallel
 and serial execution produce bit-identical per-run results; only the
@@ -39,6 +41,7 @@ import json
 import multiprocessing as mp
 import os
 import random as _random
+import signal
 import time
 import traceback
 import warnings
@@ -126,9 +129,8 @@ class RunSpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "RunSpec":
-        # Tolerant of journals written before a field existed (the
-        # defaulted dataclass field fills the gap), so old checkpoint
-        # journals stay resumable.
+        # Tolerant of records written before a field existed (the
+        # defaulted dataclass field fills the gap).
         return cls(
             **{f.name: record[f.name] for f in fields(cls) if f.name in record}
         )
@@ -143,7 +145,7 @@ class RunSpec:
 
 @dataclass
 class RunFailure:
-    """Structured record of why a cell failed (journal-safe)."""
+    """Structured record of why a cell failed (JSON-safe)."""
 
     kind: str                 # RETRYABLE / FATAL / TIMEOUT
     exception: str            # exception class name
@@ -180,7 +182,7 @@ class RunOutcome:
     validated: bool = False
     halted: bool = False
     failure: RunFailure | None = None
-    resumed: bool = False             # loaded from a checkpoint journal
+    resumed: bool = False             # read back from a CellStore
     duration: float = 0.0             # wall seconds (not deterministic)
 
     @property
@@ -249,115 +251,120 @@ class RunOutcome:
 
 
 # ======================================================================
-# Checkpoint journal (JSONL, append-only, corruption-tolerant)
+# The cell store (content-addressed, checksummed, atomic writes)
 # ======================================================================
-def read_journal_lines(
-    text: str,
-) -> tuple[list[tuple[int, dict]], dict[str, int]]:
-    """Parse newline-delimited JSON records, tolerating torn records.
+def cell_key(spec: RunSpec) -> str:
+    """Stable content hash of one cell: spec record + config digest."""
+    payload = json.dumps(
+        {"spec": spec.as_record(), "config": spec.config_digest()},
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
 
-    A crash mid-append can leave a *torn* record anywhere in the file —
-    a partial line with the next record appended to it without an
-    intervening newline (``{"spe{"spec": ...}``).  A plain
-    line-by-line loader would discard the good record glued to the torn
-    prefix; this reader *resynchronizes*: on a line that fails to parse
-    whole, it scans forward for the next position where a complete JSON
-    object decodes and recovers every object embedded in the line.
 
-    Returns ``(records, counters)`` where records are ``(lineno, dict)``
-    pairs in file order and ``counters`` tallies the damage:
-    ``{"recovered": objects salvaged from torn lines,
-    "skipped": lines with nothing salvageable}`` — callers surface
-    these as warnings/metrics rather than silently dropping data.
+def _checksum(record: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(record, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class CellStore:
+    """Directory of checksummed cell outcomes keyed by content hash.
+
+    The simulator is deterministic, so a cell's outcome is a pure
+    function of its :class:`RunSpec` *and* the machine configuration
+    its mode expands to: the key (:func:`cell_key`) hashes both, so a
+    config change invalidates every stored cell of that mode and a
+    different scale, seed or fault never collides.
+
+    Only outcomes that are themselves a pure function of the key are
+    kept: ``ok`` and ``FATAL`` failures.  A ``TIMEOUT`` or an exhausted
+    ``RETRYABLE`` failure depends on the host, so it is re-attempted.
+
+    Integrity: each entry stores a sha256 checksum of its payload,
+    verified on every read; a corrupt entry (bit rot, torn write) is
+    counted, deleted with a warning and treated as a miss, so the cell
+    re-simulates.  Writes go through a fsynced temp file +
+    :func:`os.replace`, so a crash mid-put leaves the old entry or
+    none, never a torn one.
     """
-    decoder = json.JSONDecoder()
-    records: list[tuple[int, dict]] = []
-    counters = {"recovered": 0, "skipped": 0}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError:
-            pass
-        else:
-            if isinstance(obj, dict):
-                records.append((lineno, obj))
-            else:
-                counters["skipped"] += 1
-            continue
-        # Torn line: resynchronize on the next decodable JSON object.
-        pos, salvaged = 0, 0
-        while True:
-            start = stripped.find("{", pos)
-            if start < 0:
-                break
-            try:
-                obj, end = decoder.raw_decode(stripped, start)
-            except json.JSONDecodeError:
-                pos = start + 1
-                continue
-            if isinstance(obj, dict):
-                records.append((lineno, obj))
-                salvaged += 1
-                pos = end
-            else:
-                pos = start + 1
-        counters["recovered"] += salvaged
-        if not salvaged:
-            counters["skipped"] += 1
-    return records, counters
 
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.hits = 0
+        self.misses = 0
+        self.integrity_failures = 0
 
-def load_checkpoint(path: str | Path) -> dict[str, RunOutcome]:
-    """Load a JSONL campaign journal, tolerating corruption anywhere in
-    the file: a truncated trailing line (the normal aftermath of a
-    crash mid-append) *and* a torn mid-file record are handled by
-    resynchronizing on the next decodable JSON object
-    (:func:`read_journal_lines`); unrecoverable lines are skipped with
-    a warning, never raised.  Later records for the same cell win."""
-    path = Path(path)
-    outcomes: dict[str, RunOutcome] = {}
-    if not path.exists():
-        return outcomes
-    records, counters = read_journal_lines(path.read_text())
-    if counters["recovered"] or counters["skipped"]:
-        warnings.warn(
-            f"{path}: journal damage — recovered {counters['recovered']} "
-            f"torn record(s), skipped {counters['skipped']} "
-            f"unrecoverable line(s)",
-            stacklevel=2,
-        )
-    for lineno, record in records:
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}.json"
+
+    def _load(self, path: Path) -> RunOutcome | None:
+        """The verified outcome in ``path``; a corrupt entry is counted,
+        evicted and warned about."""
         try:
-            outcome = RunOutcome.from_record(record)
-        except (KeyError, TypeError) as exc:
+            entry = json.loads(path.read_text())
+            payload = entry["payload"]
+            if entry["checksum"] != _checksum(payload):
+                raise ValueError("checksum mismatch")
+            return RunOutcome.from_record(payload)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            self.integrity_failures += 1
+            path.unlink(missing_ok=True)
             warnings.warn(
-                f"{path}:{lineno}: skipping corrupt checkpoint record "
+                f"{path}: evicted corrupt cell store entry "
                 f"({type(exc).__name__}: {exc})",
-                stacklevel=2,
+                stacklevel=3,
             )
-            continue
-        outcomes[outcome.key] = outcome
-    return outcomes
+            return None
 
+    def get(self, spec: RunSpec) -> RunOutcome | None:
+        """The stored outcome for this cell, or ``None`` (a miss).
 
-class CheckpointJournal:
-    """Append-only JSONL writer; each record is flushed and fsynced so
-    a crash loses at most the record being written."""
+        The outcome carries ``resumed=True`` and ``attempts``/
+        ``duration`` normalized: wall-clock facts of the original run
+        are not replayed, so stored and fresh reports are identical.
+        """
+        outcome = self._load(self._path(cell_key(spec)))
+        if outcome is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return outcome
 
-    def __init__(self, path: str | Path, fresh: bool = False):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if fresh and self.path.exists():
-            self.path.unlink()
-
-    def append(self, outcome: RunOutcome) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(outcome.as_record(), sort_keys=True) + "\n")
+    def put(self, outcome: RunOutcome) -> bool:
+        """Store an ``ok`` or ``FATAL`` outcome; atomic, idempotent.
+        Returns whether the outcome was storable."""
+        if not (outcome.ok or outcome.failure.kind == FATAL):
+            return False
+        payload = outcome.as_record()
+        payload["attempts"] = 1
+        payload["duration"] = 0.0
+        key = cell_key(outcome.spec)
+        entry = {"key": key, "checksum": _checksum(payload), "payload": payload}
+        path = self._path(key)
+        tmp = path.with_suffix(".tmp")
+        with open(tmp, "w") as fh:
+            json.dump(entry, fh, sort_keys=True, indent=1)
             fh.flush()
             os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        return True
+
+    def outcomes(self) -> list[RunOutcome]:
+        """Every intact stored outcome (corrupt entries are evicted)."""
+        loaded = (self._load(path) for path in sorted(self.root.glob("*.json")))
+        return [outcome for outcome in loaded if outcome is not None]
+
+    def counters(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "integrity_failures": self.integrity_failures,
+            "entries": sum(1 for _ in self.root.glob("*.json")),
+        }
 
 
 # ======================================================================
@@ -418,14 +425,27 @@ def _error_message(exc: BaseException) -> tuple:
     )
 
 
-def _worker_main(conn, task, record: dict, telemetry: dict | None = None) -> None:
+def _worker_main(
+    conn, task, record: dict, telemetry: dict | None = None, inherited=()
+) -> None:
     """Subprocess entry: run the task, ship ok/err through the pipe.
 
     ``telemetry`` (when campaign telemetry is enabled) carries the
     relay's ``{"run", "worker"}`` and installs a
     :class:`~repro.obs.aggregate.TelemetryRelay` streaming through the
     same ``conn`` as interleaved ``("telemetry", envelope)`` tuples.
+
+    ``inherited`` are the coordinator's pipe read ends (this worker's
+    own included) that a fork copied in.  Closing them leaves the
+    coordinator the only reader, so once it dies a send raises
+    ``BrokenPipeError`` instead of blocking forever on a full pipe.
+    The coordinator's Python-level SIGTERM/SIGINT handlers are reset
+    too, so a worker orphaned by a killed coordinator can be stopped.
     """
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     if telemetry is not None:
         set_current_relay(TelemetryRelay(conn.send, **telemetry))
     try:
@@ -481,15 +501,15 @@ class CampaignExecutor:
 
     ``retry_timeouts=True`` reclassifies per-run wall-clock timeouts as
     retryable: the hung worker is terminated and *replaced* by a fresh
-    attempt (within the ``retries`` budget) instead of journaling a
+    attempt (within the ``retries`` budget) instead of settling a
     terminal ``timeout`` cell.  The campaign service uses this as its
     hung-worker replacement mechanism.
 
     ``stop`` is a zero-argument drain hook polled between launches:
     once it returns true, no further cell is started, results already
-    waiting in worker pipes are settled and journaled, the remaining
-    workers are terminated *without journaling* their unfinished cells,
-    and :meth:`run` returns only the cells that settled — the journal
+    waiting in worker pipes are settled and stored, the remaining
+    workers are terminated *without storing* their unfinished cells,
+    and :meth:`run` returns only the cells that settled — the store
     plus a later ``resume=True`` run picks up exactly where the drain
     cut off.
     """
@@ -545,22 +565,20 @@ class CampaignExecutor:
     def run(
         self,
         specs,
-        checkpoint: str | Path | None = None,
+        checkpoint: str | Path | CellStore | None = None,
         resume: bool = False,
     ) -> list[RunOutcome]:
         """Execute every spec; returns outcomes in spec order.
 
-        With ``checkpoint``, completed cells are journaled as they
-        finish; with ``resume`` additionally set, cells already in the
-        journal are skipped and returned as ``resumed`` outcomes.
+        ``checkpoint`` is a :class:`CellStore` or its directory: every
+        storable cell is put there as it settles; with ``resume`` also
+        set, cells already in the store are returned as ``resumed``
+        outcomes instead of being simulated.
         """
         specs = list(specs)
-        journal = None
-        completed: dict[str, RunOutcome] = {}
-        if checkpoint is not None:
-            if resume:
-                completed = load_checkpoint(checkpoint)
-            journal = CheckpointJournal(checkpoint, fresh=not resume)
+        store = checkpoint
+        if checkpoint is not None and not isinstance(checkpoint, CellStore):
+            store = CellStore(checkpoint)
 
         if self.telemetry is not None:
             self.telemetry.register_specs(specs)
@@ -568,18 +586,19 @@ class CampaignExecutor:
         outcomes: dict[str, RunOutcome] = {}
         queue: list[_Attempt] = []    # in (ready_at, index) order: a heap
         for index, spec in enumerate(specs):
-            if spec.key in completed:
-                outcomes[spec.key] = completed[spec.key]
+            stored = store.get(spec) if store is not None and resume else None
+            if stored is not None:
+                outcomes[spec.key] = stored
                 if self.telemetry is not None:
-                    self.telemetry.on_run_settled(completed[spec.key])
+                    self.telemetry.on_run_settled(stored)
             else:
                 queue.append(_Attempt(0.0, index, spec))
 
         if queue:
-            self._schedule(queue, outcomes, journal)
+            self._schedule(queue, outcomes, store)
         # A drain (``stop`` hook) leaves unfinished cells unsettled;
         # they are simply absent from the returned list and stay
-        # resumable from the journal.
+        # resumable from the store.
         return [outcomes[spec.key] for spec in specs if spec.key in outcomes]
 
     def _backoff_delay(self, attempt: int) -> tuple[float, float]:
@@ -590,7 +609,7 @@ class CampaignExecutor:
         return base, base * (1.0 + self.jitter * self._jitter_rng.random())
 
     # -- the scheduling loop -------------------------------------------
-    def _schedule(self, queue: list[_Attempt], outcomes: dict, journal) -> None:
+    def _schedule(self, queue: list[_Attempt], outcomes: dict, store) -> None:
         """Run every queued attempt to a settled outcome (or a drain).
 
         One loop for both modes: launch due attempts into free slots,
@@ -658,8 +677,8 @@ class CampaignExecutor:
                 duration=self._clock() - item.started,
             )
             outcomes[item.spec.key] = outcome
-            if journal is not None:
-                journal.append(outcome)
+            if store is not None:
+                store.put(outcome)
             if self.telemetry is not None:
                 self.telemetry.on_run_settled(outcome)
             if outcome.ok:
@@ -688,7 +707,8 @@ class CampaignExecutor:
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, self.task, item.spec.as_record(), relay),
+                    args=(child_conn, self.task, item.spec.as_record(), relay,
+                          [parent_conn, *active]),
                     daemon=True,
                 )
                 proc.start()
@@ -745,9 +765,9 @@ class CampaignExecutor:
         while queue or active:
             if self.stop is not None and self.stop():
                 # Drain: settle every result already waiting in a pipe,
-                # then terminate the rest without journaling their
-                # cells (the journal keeps only *settled* cells, so a
-                # resume recomputes exactly these).
+                # then terminate the rest without storing their cells
+                # (the store keeps only *settled* cells, so a resume
+                # recomputes exactly these).
                 for conn in [c for c in active if c.poll()]:
                     read(conn)
                 for conn in list(active):

@@ -84,8 +84,8 @@ EVENT_TYPES: frozenset[str] = frozenset(
         "job_rejected",        # backpressure: queue full / draining
         "job_resumed",         # journal replay re-enqueued an unfinished job
         "job_cancelled",       # a queued job was cancelled by a client
-        "cell_cached",         # a cell was served from the result cache
-        "cell_simulated",      # a cell missed the cache and simulated
+        "cell_cached",         # a cell was served from the cell store
+        "cell_simulated",      # a cell missed the cell store and simulated
         "service_drain",       # graceful drain began (SIGTERM)
         "heartbeat_missed",    # a running job went silent past the limit
     }

@@ -1,6 +1,6 @@
 """The campaign service: a fault-tolerant asyncio simulation server.
 
-``repro serve`` exposes the PR 2 :class:`~repro.harness.executor.
+``repro serve`` exposes the :class:`~repro.harness.executor.
 CampaignExecutor` as a long-running HTTP/JSON service (stdlib only,
 hand-rolled on ``asyncio.start_server``):
 
@@ -9,9 +9,8 @@ hand-rolled on ``asyncio.start_server``):
 * :mod:`repro.service.journal` — fsynced write-ahead journal; a submit
   is acknowledged only once durable, and restart replay re-enqueues
   every unfinished job;
-* :mod:`repro.service.cache` — content-addressed result cache keyed by
-  spec + config digest, checksummed on every read;
-* :mod:`repro.service.server` — the asyncio server: dispatch, SSE
+* :mod:`repro.service.server` — the asyncio server: dispatch over one
+  content-addressed :class:`~repro.harness.executor.CellStore`, SSE
   progress streaming, heartbeats, graceful SIGTERM drain;
 * :mod:`repro.service.client` — blocking :mod:`http.client` client for
   ``repro submit / status / fetch``;
@@ -22,7 +21,6 @@ hand-rolled on ``asyncio.start_server``):
 See HACKING.md "Campaign service" for the API and durability contract.
 """
 
-from .cache import ResultCache, cache_key
 from .chaos import (
     CHAOS_KINDS,
     chaos_execute_spec,
@@ -53,14 +51,12 @@ __all__ = [
     "JobValidationError",
     "PriorityJobQueue",
     "QueueFull",
-    "ResultCache",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
     "ServiceJournal",
     "SimulationService",
     "build_job_report",
-    "cache_key",
     "chaos_execute_spec",
     "default_chaos_jobs",
     "replay_journal",

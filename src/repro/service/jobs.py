@@ -159,7 +159,6 @@ class Job:
     resumed: bool = False         # re-enqueued by journal replay
     cache_hits: int = 0
     simulated: int = 0
-    journal_resumed_cells: int = 0
     # Runner-thread progress: (json_text, monotonic_stamp) tuples are
     # swapped in atomically; the event loop only ever reads them.
     progress: str | None = None
@@ -184,7 +183,6 @@ class Job:
                 "done": self.done_cells,
                 "cached": self.cache_hits,
                 "simulated": self.simulated,
-                "journal_resumed": self.journal_resumed_cells,
             },
             "resumed": self.resumed,
             "token": self.token,

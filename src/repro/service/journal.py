@@ -14,13 +14,14 @@ Record taxonomy (``op`` field)::
 
 Replay (:func:`replay_journal`) folds the log into the job table: jobs
 with a ``submit`` but no terminal record are *unfinished* and must be
-re-enqueued on restart — their per-job cell journals (the PR 2
-checkpoint machinery) carry whichever cells already settled, so resume
-recomputes only the cells that were genuinely in flight.
+re-enqueued on restart — the service's cell store
+(:class:`~repro.harness.executor.CellStore`) holds whichever of their
+cells already settled, so resume recomputes only the cells that were
+genuinely in flight.
 
-The reader reuses the torn-record-tolerant resynchronizing parser from
-:func:`repro.harness.executor.read_journal_lines`, so a record torn by
-a crash mid-append never takes healthy neighbours down with it.
+The reader is the torn-record-tolerant resynchronizing parser
+:func:`read_journal_lines`, so a record torn by a crash mid-append
+never takes healthy neighbours down with it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,71 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..harness.executor import read_journal_lines
 from .jobs import DONE, FAILED, Job, JobSpec
 
 #: Journal operations.
 OP_SUBMIT = "submit"
 OP_DONE = "done"
 OP_CANCEL = "cancel"
+
+
+def read_journal_lines(
+    text: str,
+) -> tuple[list[tuple[int, dict]], dict[str, int]]:
+    """Parse newline-delimited JSON records, tolerating torn records.
+
+    A crash mid-append can leave a *torn* record anywhere in the file —
+    a partial line with the next record appended to it without an
+    intervening newline (``{"op": "sub{"op": "submit", ...}``).  A plain
+    line-by-line loader would discard the good record glued to the torn
+    prefix; this reader *resynchronizes*: on a line that fails to parse
+    whole, it scans forward for the next position where a complete JSON
+    object decodes and recovers every object embedded in the line.
+
+    Returns ``(records, counters)`` where records are ``(lineno, dict)``
+    pairs in file order and ``counters`` tallies the damage:
+    ``{"recovered": objects salvaged from torn lines,
+    "skipped": lines with nothing salvageable}`` — the service surfaces
+    these in ``/metrics`` rather than silently dropping data.
+    """
+    decoder = json.JSONDecoder()
+    records: list[tuple[int, dict]] = []
+    counters = {"recovered": 0, "skipped": 0}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if isinstance(obj, dict):
+                records.append((lineno, obj))
+            else:
+                counters["skipped"] += 1
+            continue
+        # Torn line: resynchronize on the next decodable JSON object.
+        pos, salvaged = 0, 0
+        while True:
+            start = stripped.find("{", pos)
+            if start < 0:
+                break
+            try:
+                obj, end = decoder.raw_decode(stripped, start)
+            except json.JSONDecodeError:
+                pos = start + 1
+                continue
+            if isinstance(obj, dict):
+                records.append((lineno, obj))
+                salvaged += 1
+                pos = end
+            else:
+                pos = start + 1
+        counters["recovered"] += salvaged
+        if not salvaged:
+            counters["skipped"] += 1
+    return records, counters
 
 
 class ServiceJournal:

@@ -1,12 +1,13 @@
 """The campaign service: a long-running asyncio simulation server.
 
-``repro serve`` turns the PR 2 :class:`CampaignExecutor` into a
+``repro serve`` turns the :class:`CampaignExecutor` into a
 fault-tolerant HTTP/JSON service: clients submit campaign *jobs*
 (workload × mode matrices), the service queues them by priority,
-executes them over the process pool, caches cell results by content
-hash, and survives both worker failures (timeout + retry + backoff,
-inherited from the executor) and its *own* death (write-ahead journal
-+ restart replay).  Everything is hand-rolled on
+executes them over the process pool against one content-addressed
+:class:`~repro.harness.executor.CellStore` (``state_dir/cache/``), and
+survives both worker failures (timeout + retry + backoff, inherited
+from the executor) and its *own* death (write-ahead journal + restart
+replay).  Everything is hand-rolled on
 ``asyncio.start_server`` — no third-party HTTP stack.
 
 API (JSON request/response unless noted)::
@@ -30,17 +31,19 @@ Durability contract
 A submit is acknowledged only after its journal record is fsynced, so
 an acknowledged job is never lost: ``kill -9`` the server mid-campaign,
 restart it on the same ``--state-dir``, and replay re-enqueues every
-unfinished job.  Cells that settled before the crash are skipped via
-the per-job cell journal (PR 2 checkpoint/resume) and the result cache,
-and because reports are built deterministically (wall-clock facts
-excluded), the resumed report is **byte-identical** to an uninterrupted
-run — ``tests/test_service_recovery.py`` asserts exactly this.
+unfinished job.  Every job runs with ``resume=True`` on the shared cell
+store, so cells that settled before the crash (or in any earlier job)
+are read back instead of re-simulated, and because reports are built
+deterministically (wall-clock facts excluded), the resumed report is
+**byte-identical** to an uninterrupted run —
+``tests/test_service_recovery.py`` asserts exactly this.
 
 Graceful drain
 --------------
 SIGTERM (or SIGINT) stops admission (503s), lets the in-flight job
-checkpoint through the executor's ``stop`` hook, and exits 0 within
-``drain_deadline`` seconds.  Unfinished work resumes on restart.
+store its settled cells through the executor's ``stop`` hook, and exits
+0 within ``drain_deadline`` seconds.  Unfinished work resumes on
+restart.
 """
 
 from __future__ import annotations
@@ -54,9 +57,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..harness.executor import CampaignExecutor, RunOutcome
+from ..harness.executor import CampaignExecutor, CellStore, RunOutcome
 from ..obs import Observation, TelemetryAggregator
-from .cache import ResultCache
 from .jobs import (
     CANCELLED,
     DONE,
@@ -109,8 +111,8 @@ def build_job_report(spec: JobSpec, outcomes: list[RunOutcome]) -> bytes:
     The report is a pure function of the job spec and each cell's
     simulation result: wall-clock facts (attempts, durations, retry
     messages, tracebacks) are excluded, so a report assembled from any
-    mix of fresh runs, cache hits, and journal-resumed cells after a
-    crash is byte-identical to the fault-free serial run.  The chaos
+    mix of fresh runs and stored cells after a crash is byte-identical
+    to the fault-free serial run.  The chaos
     classifier (:mod:`repro.verify.chaos`) byte-compares on this.
     """
     cells = []
@@ -149,10 +151,9 @@ class SimulationService:
         self.config = config
         self.state_dir = config.state_dir
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        (self.state_dir / "jobs").mkdir(exist_ok=True)
         (self.state_dir / "results").mkdir(exist_ok=True)
         self.journal = ServiceJournal(self.state_dir / "service.journal.jsonl")
-        self.cache = ResultCache(self.state_dir / "cache")
+        self.cache = CellStore(self.state_dir / "cache")
         self.obs = Observation(record_events=False)
         self.queue = PriorityJobQueue(depth=config.queue_depth)
         self.jobs: dict[str, Job] = {}
@@ -246,14 +247,14 @@ class SimulationService:
             pass  # loop already closed: the server is down, i.e. drained
 
     async def _drain(self) -> None:
-        """SIGTERM path: stop admission, checkpoint in-flight, exit."""
+        """SIGTERM path: stop admission, store in-flight cells, exit."""
         if self.draining:
             return
         self.draining = True
         self._work.set()   # an idle dispatcher wakes up and exits
         self._emit("service_drain", active=self._active_job is not None)
         # The executor's ``stop`` hook sees ``self.draining`` and halts
-        # between cells; we wait for the in-flight job to checkpoint.
+        # between cells; we wait for the in-flight job to settle.
         try:
             await asyncio.wait_for(
                 self._idle.wait(), self.config.drain_deadline
@@ -302,74 +303,54 @@ class SimulationService:
             self._idle.set()
 
     def _execute_job(self, job: Job):
-        """Runner-thread body: cache → executor → deterministic report.
+        """Runner-thread body: executor over the cell store → report.
 
         Returns ``(state, checksum, error)``; ``("drained", None, None)``
         when the drain hook cut the campaign short.
         """
         specs = job.spec.cell_specs()
-        settled: dict[str, RunOutcome] = {}
-        missing = []
-        for spec in specs:
-            cached = self.cache.get(spec)
-            if cached is not None:
-                settled[spec.key] = cached
+        aggregator = TelemetryAggregator(
+            jobs=max(1, self.config.workers),
+            on_update=lambda agg, j=job: self._beat(j, agg),
+        )
+        executor = CampaignExecutor(
+            jobs=self.config.workers,
+            timeout=self.config.run_timeout,
+            retries=self.config.retries,
+            backoff=self.config.backoff,
+            jitter=self.config.jitter,
+            jitter_seed=job.seq,
+            retry_timeouts=True,
+            task=self._task,
+            observation=self.obs,
+            telemetry=aggregator,
+            stop=lambda: self.draining,
+        )
+        outcomes = executor.run(specs, checkpoint=self.cache, resume=True)
+        for outcome in outcomes:
+            spec = outcome.spec
+            if outcome.resumed:
                 job.cache_hits += 1
                 self._emit("cell_cached", workload=spec.workload, mode=spec.mode)
             else:
-                missing.append(spec)
-        job.done_cells = len(settled)
-        if missing:
-            aggregator = TelemetryAggregator(
-                jobs=max(1, self.config.workers),
-                on_update=lambda agg, j=job: self._beat(j, agg),
-            )
-            executor = CampaignExecutor(
-                jobs=self.config.workers,
-                timeout=self.config.run_timeout,
-                retries=self.config.retries,
-                backoff=self.config.backoff,
-                jitter=self.config.jitter,
-                jitter_seed=job.seq,
-                retry_timeouts=True,
-                task=self._task,
-                observation=self.obs,
-                telemetry=aggregator,
-                stop=lambda: self.draining,
-            )
-            outcomes = executor.run(
-                missing,
-                checkpoint=self.state_dir / "jobs" / f"{job.id}.cells.jsonl",
-                resume=True,
-            )
-            for outcome in outcomes:
-                settled[outcome.key] = outcome
-                job.done_cells = len(settled)
-                if outcome.resumed:
-                    job.journal_resumed_cells += 1
-                else:
-                    job.simulated += 1
-                    self._emit(
-                        "cell_simulated",
-                        workload=outcome.spec.workload,
-                        mode=outcome.spec.mode,
-                        status=outcome.status,
-                    )
-                self.cache.put(outcome)
-        if any(spec.key not in settled for spec in specs):
+                job.simulated += 1
+                self._emit(
+                    "cell_simulated",
+                    workload=spec.workload,
+                    mode=spec.mode,
+                    status=outcome.status,
+                )
+        job.done_cells = len(outcomes)
+        if len(outcomes) < len(specs):
             # Only a drain legitimately leaves cells unsettled.
             return "drained", None, None
-        report = build_job_report(
-            job.spec, [settled[spec.key] for spec in specs]
-        )
+        report = build_job_report(job.spec, outcomes)
         result_path = self.state_dir / "results" / f"{job.id}.json"
         tmp = result_path.with_suffix(".tmp")
         tmp.write_bytes(report)
         os.replace(tmp, result_path)
         checksum = hashlib.sha256(report).hexdigest()
-        failed = sorted(
-            spec.key for spec in specs if settled[spec.key].status != "ok"
-        )
+        failed = sorted(o.key for o in outcomes if not o.ok)
         if failed:
             return FAILED, checksum, f"failed cells: {', '.join(failed)}"
         return DONE, checksum, None

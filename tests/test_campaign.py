@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness import CampaignExecutor, ExperimentSuite, RunSpec
+from repro.harness import CampaignExecutor, ExperimentSuite, RunSpec, cell_key
 from repro.harness.campaign import (
     campaign_to_dict,
     diff_campaigns,
@@ -74,8 +74,8 @@ class TestTolerantLoading:
         assert "xz/tea" not in loaded["runs"]
         assert "xz/baseline" in loaded["runs"]
 
-    def test_executor_journal_loads_as_campaign(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_cell_store_loads_as_campaign(self, tmp_path):
+        path = tmp_path / "cells"
         specs = [RunSpec("xz", m, "tiny") for m in ("baseline", "tea")]
         CampaignExecutor(jobs=0, task=_ok_task).run(specs, checkpoint=path)
         data = load_campaign(path)
@@ -84,21 +84,13 @@ class TestTolerantLoading:
         assert set(data["runs"]) == {"xz/baseline", "xz/tea"}
         assert data["runs"]["xz/tea"]["ipc"] == pytest.approx(2.0)
 
-    def test_single_record_journal_loads(self, tmp_path):
-        path = tmp_path / "one.jsonl"
-        CampaignExecutor(jobs=0, task=_ok_task).run(
-            [RunSpec("xz", "tea", "tiny")], checkpoint=path
-        )
-        data = load_campaign(path)
-        assert set(data["runs"]) == {"xz/tea"}
-
-    def test_journal_with_corrupt_tail_loads_rest(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = [RunSpec("xz", m, "tiny") for m in ("baseline", "tea")]
+    def test_store_with_corrupt_entry_loads_rest(self, tmp_path):
+        path = tmp_path / "cells"
+        specs = [RunSpec("xz", m, "tiny") for m in ("baseline", "tea", "runahead")]
         CampaignExecutor(jobs=0, task=_ok_task).run(specs, checkpoint=path)
-        with open(path, "a") as fh:
-            fh.write('{"spec": {"workload": "mcf", "mo')  # crash mid-append
-        with pytest.warns(UserWarning, match="journal damage"):
+        torn = path / f"{cell_key(specs[2])}.json"
+        torn.write_text(torn.read_text()[:40])   # crash mid-write
+        with pytest.warns(UserWarning, match="corrupt cell store entry"):
             data = load_campaign(path)
         assert set(data["runs"]) == {"xz/baseline", "xz/tea"}
 
@@ -108,7 +100,7 @@ class TestTolerantLoading:
                 raise ValueError("model bug")
             return _ok_task(record)
 
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "cells"
         specs = [RunSpec("xz", m, "tiny") for m in ("baseline", "tea")]
         CampaignExecutor(jobs=0, task=failing).run(specs, checkpoint=path)
         data = load_campaign(path)

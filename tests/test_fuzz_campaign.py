@@ -6,6 +6,7 @@ import pytest
 
 from repro.fuzz import (
     GeneratorProfile,
+    fuzz_spec,
     load_record,
     replay_record,
     run_fuzz_campaign,
@@ -100,10 +101,38 @@ class TestExecutorIntegration:
         )
 
     def test_checkpoint_resume_skips_done_seeds(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        first = _campaign(tmp_path / "a", checkpoint=journal)
-        resumed = _campaign(tmp_path / "b", checkpoint=journal, resume=True)
+        store = tmp_path / "cells"
+        first = _campaign(tmp_path / "a", checkpoint=store)
+        resumed = _campaign(tmp_path / "b", checkpoint=store, resume=True)
         assert first["counts"] == resumed["counts"]
+
+    def test_cell_identity_includes_profile_and_bug(self):
+        # The default campaign keeps its historical workload names.
+        assert fuzz_spec(7).workload == "fuzz-000007"
+        names = {
+            fuzz_spec(7).workload,
+            fuzz_spec(7, profile_record=SMALL.as_record()).workload,
+            fuzz_spec(7, bug="addi-imm-one").workload,
+            fuzz_spec(
+                7, profile_record=SMALL.as_record(), bug="addi-imm-one"
+            ).workload,
+        }
+        assert len(names) == 4
+        assert all(name.startswith("fuzz-000007") for name in names)
+
+    def test_resume_under_a_seeded_bug_does_not_reuse_clean_verdicts(
+        self, tmp_path
+    ):
+        store = tmp_path / "cells"
+        clean = _campaign(tmp_path / "a", checkpoint=store, shrink=False)
+        assert clean["counts"]["pass"] == len(SEEDS)
+        bugged = _campaign(
+            tmp_path / "b", checkpoint=store, resume=True,
+            bug="addi-imm-one", shrink=False,
+        )
+        fresh = _campaign(tmp_path / "c", bug="addi-imm-one", shrink=False)
+        assert bugged["num_unique_failures"] > 0
+        assert bugged["counts"] == fresh["counts"]
 
 
 class TestRegistry:

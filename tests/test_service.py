@@ -1,10 +1,11 @@
-"""Tests for the campaign service: job model, queue, cache, journal,
-and the HTTP server end to end (submit/status/result/SSE, 429
-backpressure, idempotency tokens, cancel, drain 503)."""
+"""Tests for the campaign service: job model, queue, journal, and the
+HTTP server end to end (submit/status/result/SSE, 429 backpressure,
+idempotency tokens, cancel, drain 503, the cell store rule)."""
 
 import asyncio
 import hashlib
 import json
+import os
 import threading
 import time
 
@@ -17,17 +18,16 @@ from repro.service import (
     JobValidationError,
     PriorityJobQueue,
     QueueFull,
-    ResultCache,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     ServiceJournal,
     SimulationService,
     build_job_report,
-    cache_key,
     replay_journal,
 )
 from repro.service.jobs import DONE, RUNNING
+from repro.service.journal import read_journal_lines
 
 # ----------------------------------------------------------------------
 # Module-level tasks (process-mode workers pickle the callable).
@@ -42,6 +42,19 @@ def ok_task(record):
 
 def slow_ok_task(record):
     time.sleep(0.5)
+    return ok_task(record)
+
+
+def fatal_or_hang_task(record):
+    """Counts each attempt in ``$RULE_DIR``; ``xz`` fails with a model
+    bug (fatal), ``mcf`` hangs past any per-cell timeout."""
+    with open(os.path.join(os.environ["RULE_DIR"], record["workload"]),
+              "a") as fh:
+        fh.write("x")
+    if record["workload"] == "xz":
+        raise ValueError("deterministic model bug")
+    if record["workload"] == "mcf":
+        time.sleep(60)
     return ok_task(record)
 
 
@@ -139,49 +152,17 @@ class TestPriorityJobQueue:
 
 
 # ======================================================================
-# Result cache
-# ======================================================================
-class TestResultCache:
-    def test_roundtrip_normalizes_wall_clock(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.put(_ok_outcome())
-        got = cache.get(_spec())
-        assert got is not None
-        assert got.stats["cycles"] == 100
-        # Wall-clock facts of the original run do not replay.
-        assert got.attempts == 1 and got.duration == 0.0
-        assert cache.hits == 1 and cache.misses == 0
-
-    def test_miss_and_failed_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get(_spec()) is None
-        assert cache.misses == 1
-        failed = _ok_outcome()
-        failed.status = "failed"
-        assert not cache.put(failed)
-        assert cache.get(_spec()) is None
-
-    def test_corrupt_entry_detected_and_evicted(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(_ok_outcome())
-        [entry] = list(tmp_path.glob("*.json"))
-        tampered = json.loads(entry.read_text())
-        tampered["payload"]["stats"]["cycles"] = 999  # bit rot
-        entry.write_text(json.dumps(tampered))
-        assert cache.get(_spec()) is None
-        assert cache.integrity_failures == 1
-        assert not entry.exists()  # evicted, will re-simulate
-
-    def test_key_depends_on_spec_and_config(self):
-        assert cache_key(_spec()) != cache_key(_spec(mode="tea"))
-        assert cache_key(_spec()) != cache_key(RunSpec("alpha", "baseline",
-                                                       "tiny", seed=1))
-
-
-# ======================================================================
 # Write-ahead journal
 # ======================================================================
 class TestServiceJournal:
+    def test_read_journal_lines_resyncs_glued_record(self):
+        good = json.dumps({"k": 1})
+        text = good + "\n" + '{"torn": ' + good + "\nnot json at all\n"
+        records, counters = read_journal_lines(text)
+        assert [record for _, record in records] == [{"k": 1}, {"k": 1}]
+        assert counters["recovered"] == 1
+        assert counters["skipped"] == 1
+
     def test_replay_folds_lifecycle(self, tmp_path):
         path = tmp_path / "service.journal.jsonl"
         journal = ServiceJournal(path)
@@ -304,7 +285,6 @@ class TestServiceHTTP:
         assert summary["state"] == "done"
         assert summary["cells"] == {
             "total": 1, "done": 1, "cached": 0, "simulated": 1,
-            "journal_resumed": 0,
         }
         report = client.result_bytes(response["id"])
         assert hashlib.sha256(report).hexdigest() == summary["checksum"]
@@ -402,26 +382,61 @@ class TestServiceHTTP:
         assert events[-1][1]["state"] in ("done", "failed")
 
     def test_drain_rejects_submits_with_503(self, tmp_path):
-        with ServiceThread(tmp_path, task=slow_ok_task) as running:
-            # An in-flight job holds the drain window open: the server
-            # must keep answering (with 503s) while it checkpoints.
-            response = running.client.submit({"workloads": ["xz"]})
-            deadline = time.monotonic() + 5.0
-            while (
-                running.client.status(response["id"])["state"] != "running"
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            running.service.request_drain()
-            while (
-                not running.service.draining
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            with pytest.raises(ServiceError) as err:
-                running.client.submit({"workloads": ["mcf"]}, deadline=0.0)
-            assert err.value.status == 503
+        gate = threading.Event()
+
+        def gated_task(record):
+            gate.wait(30.0)
+            return ok_task(record)
+
+        with ServiceThread(tmp_path, task=gated_task) as running:
+            # An in-flight job, held on the gate until the 503 is seen,
+            # keeps the drain window open: the server must keep
+            # answering (with 503s) while the job settles.
+            try:
+                response = running.client.submit({"workloads": ["xz"]})
+                deadline = time.monotonic() + 5.0
+                while (
+                    running.client.status(response["id"])["state"]
+                    != "running"
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                running.service.request_drain()
+                while (
+                    not running.service.draining
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                with pytest.raises(ServiceError) as err:
+                    running.client.submit(
+                        {"workloads": ["mcf"]}, deadline=0.0
+                    )
+                assert err.value.status == 503
+            finally:
+                gate.set()
         assert running.exit_code == 0
+
+    def test_fatal_cell_reused_and_timeout_cell_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("RULE_DIR", str(tmp_path))
+        with ServiceThread(
+            tmp_path, task=fatal_or_hang_task, workers=1,
+            run_timeout=1.0, retries=0,
+        ) as running:
+            client = running.client
+            job = {"workloads": ["xz", "mcf"], "modes": ["baseline"]}
+            first = client.wait(client.submit(job)["id"], timeout=60.0)
+            second = client.wait(client.submit(job)["id"], timeout=60.0)
+        for summary in (first, second):
+            assert summary["state"] == "failed"
+        assert first["cells"]["simulated"] == 2
+        # The fatal cell is a pure function of its key: stored, reused.
+        # The timeout depends on the host: re-run by the second job.
+        assert second["cells"]["cached"] == 1
+        assert second["cells"]["simulated"] == 1
+        assert (tmp_path / "xz").read_text() == "x"
+        assert (tmp_path / "mcf").read_text() == "xx"
 
     def test_metrics_payload_shape(self, service):
         client = service.client
