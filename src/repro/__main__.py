@@ -2,10 +2,11 @@
 
 Commands
 --------
-``run``      simulate workloads (one run, or a fault-tolerant campaign;
-             ``--follow`` renders live campaign progress, ``--rollup-out``
-             writes the aggregated telemetry rollup)
-``compare``  simulate one workload under several modes side by side
+``run``      simulate workloads (one run, or a fault-tolerant campaign
+             whose table compares modes: IPC, MPKI, speedup over the
+             workload's baseline; ``--follow`` renders live campaign
+             progress, ``--rollup-out`` writes the aggregated telemetry
+             rollup)
 ``stats``    run with full telemetry and print the observability report
              (or summarize a saved ``--events`` JSONL dump)
 ``profile``  self-profile the cycle kernel: per-stage wall-clock
@@ -15,6 +16,8 @@ Commands
              H2P branch and in aggregate
 ``list``     list workloads, scales, and machine modes
 ``figure``   regenerate one paper figure/table on a workload subset
+             (its cells run through the campaign executor, so
+             ``--checkpoint``/``--resume`` reuse a ``run`` cell store)
 ``bench``    time the cycle kernel (plus the functional engine and
              interpreter rates) and write BENCH_pipeline.json
 ``sample``   sampled simulation: functional fast-forward to K sample
@@ -62,7 +65,7 @@ Examples::
     python -m repro profile xz --mode tea --out PROFILE_xz.json
     python -m repro profile xz --mode tea --gate
     python -m repro report bfs,mcf,xz --mode tea --out TEA_report.json
-    python -m repro compare mcf --modes baseline,tea,runahead
+    python -m repro run mcf --modes baseline,crisp,runahead,tea
     python -m repro figure fig8 --workloads bfs,mcf,xz --scale tiny
     python -m repro figure fig5 --scale tiny --jobs 4 --resume \\
         --checkpoint fig5.cells
@@ -116,6 +119,17 @@ def _print_stats(result) -> None:
     print(f"  validated         {result.validated}")
 
 
+def _executor_args_ok(args) -> bool:
+    """Reject bad executor options with a usage error on stderr."""
+    if args.jobs < 0:
+        print("--jobs must be >= 0", file=sys.stderr)
+        return False
+    if args.resume and not args.checkpoint:
+        print("--resume requires --checkpoint DIR", file=sys.stderr)
+        return False
+    return True
+
+
 def _make_executor(args, observation=None, telemetry=None) -> CampaignExecutor:
     return CampaignExecutor(
         jobs=args.jobs,
@@ -127,14 +141,29 @@ def _make_executor(args, observation=None, telemetry=None) -> CampaignExecutor:
 
 
 def _print_campaign(outcomes) -> None:
+    """The campaign table; a row's speedup is over the same workload's
+    ``baseline`` cell, shown only when that cell ran ok."""
     summary = summarize_outcomes(outcomes)
-    print(f"{'run':28s}{'status':>10s}{'IPC':>8s}{'att':>5s}{'res':>5s}")
+    base_ipc = {
+        o.spec.workload: o.sim_stats().ipc
+        for o in outcomes
+        if o.ok and o.spec.mode == "baseline"
+    }
+    print(f"{'run':28s}{'status':>10s}{'IPC':>8s}{'MPKI':>8s}"
+          f"{'speedup':>10s}{'att':>5s}{'res':>5s}")
     for outcome in outcomes:
-        ipc = f"{outcome.sim_stats().ipc:.3f}" if outcome.ok else "-"
+        ipc = mpki = "-"
+        speedup = ""
+        if outcome.ok:
+            stats = outcome.sim_stats()
+            ipc, mpki = f"{stats.ipc:.3f}", f"{stats.mpki:.1f}"
+            base = base_ipc.get(outcome.spec.workload)
+            if base:
+                speedup = f"{speedup_percent(stats.ipc, base):+.1f}%"
         resumed = "yes" if outcome.resumed else ""
         print(
-            f"{outcome.key:28s}{outcome.status:>10s}{ipc:>8s}"
-            f"{outcome.attempts:>5d}{resumed:>5s}"
+            f"{outcome.key:28s}{outcome.status:>10s}{ipc:>8s}{mpki:>8s}"
+            f"{speedup:>10s}{outcome.attempts:>5d}{resumed:>5s}"
         )
     print(
         f"\n{summary['ok']}/{summary['total']} ok, "
@@ -159,11 +188,7 @@ def _cmd_run(args) -> int:
         or args.rollup_out
     )
     if campaign:
-        if args.jobs < 0:
-            print("--jobs must be >= 0", file=sys.stderr)
-            return 2
-        if args.resume and not args.checkpoint:
-            print("--resume requires --checkpoint DIR", file=sys.stderr)
+        if not _executor_args_ok(args):
             return 2
         for mode in modes:
             if mode not in MODES:
@@ -409,59 +434,23 @@ def _cmd_report(args) -> int:
     return 1 if mismatched else 0
 
 
-def _cmd_compare(args) -> int:
-    modes = args.modes.split(",")
-    results = {}
-    for mode in modes:
-        print(f"simulating {mode} ...", file=sys.stderr)
-        results[mode] = run_workload(args.workload, mode, args.scale)
-    base_ipc = results.get("baseline")
-    base_ipc = base_ipc.ipc if base_ipc else results[modes[0]].ipc
-    print(f"\n{args.workload} ({args.scale} scale):")
-    print(f"{'mode':20s}{'IPC':>8s}{'MPKI':>8s}{'speedup':>10s}")
-    for mode in modes:
-        stats = results[mode].stats
-        pct = speedup_percent(stats.ipc, base_ipc)
-        print(f"{mode:20s}{stats.ipc:8.3f}{stats.mpki:8.1f}{pct:+9.1f}%")
-    return 0
-
-
 def _cmd_figure(args) -> int:
-    workloads = tuple(args.workloads.split(",")) if args.workloads else None
-    executor = None
-    if args.jobs != 1 or args.checkpoint or args.resume:
-        if args.jobs < 0:
-            print("--jobs must be >= 0", file=sys.stderr)
-            return 2
-        if args.resume and not args.checkpoint:
-            print("--resume requires --checkpoint DIR", file=sys.stderr)
-            return 2
-        executor = _make_executor(args, observation=Observation())
-    suite = ExperimentSuite(
-        scale=args.scale, workloads=workloads, executor=executor
-    )
-    if executor is not None and args.name in FIGURE_MODES:
-        suite.run_matrix(
-            FIGURE_MODES[args.name],
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
-    renderers = {
-        "fig5": suite.render_fig5,
-        "fig6": suite.render_fig6,
-        "fig7": suite.render_fig7,
-        "fig8": suite.render_fig8,
-        "fig9": suite.render_fig9,
-        "fig10": suite.render_fig10,
-        "table3": suite.render_table3,
-    }
-    try:
-        renderer = renderers[args.name]
-    except KeyError:
-        print(f"unknown figure {args.name!r}; one of {sorted(renderers)}",
+    if args.name not in FIGURE_MODES:
+        print(f"unknown figure {args.name!r}; one of {sorted(FIGURE_MODES)}",
               file=sys.stderr)
         return 2
-    print(renderer())
+    if not _executor_args_ok(args):
+        return 2
+    workloads = tuple(args.workloads.split(",")) if args.workloads else None
+    suite = ExperimentSuite(
+        scale=args.scale, workloads=workloads, executor=_make_executor(args)
+    )
+    suite.run_matrix(
+        FIGURE_MODES[args.name],
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+    )
+    print(getattr(suite, f"render_{args.name}")())
     return 0
 
 
@@ -1170,12 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--json", action="store_true",
                        help="print the report JSON instead of the table")
     p_rep.set_defaults(func=_cmd_report)
-
-    p_cmp = sub.add_parser("compare", help="compare machine modes")
-    p_cmp.add_argument("workload")
-    p_cmp.add_argument("--modes", default="baseline,tea,runahead")
-    p_cmp.add_argument("--scale", default="tiny")
-    p_cmp.set_defaults(func=_cmd_compare)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("name")

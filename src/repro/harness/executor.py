@@ -201,24 +201,6 @@ class RunOutcome:
         return SimStats(**{k: v for k, v in self.stats.items()
                            if k in STAT_FIELDS})
 
-    def run_result(self):
-        """Adapt to the harness :class:`~repro.harness.runner.RunResult`
-        shape the :class:`ExperimentSuite` caches."""
-        from .runner import RunResult
-
-        failure_kind = None if self.ok else (
-            TIMEOUT if self.status == "timeout" else self.failure.kind
-        )
-        return RunResult(
-            workload=self.spec.workload,
-            mode=self.spec.mode,
-            stats=self.sim_stats(),
-            validated=self.validated,
-            halted=self.halted,
-            failure=failure_kind,
-            error=self.failure.message if self.failure else None,
-        )
-
     def as_record(self) -> dict:
         return {
             "spec": self.spec.as_record(),

@@ -1,9 +1,10 @@
 """Per-figure/table experiment definitions (paper §V).
 
-The :class:`ExperimentSuite` runs (workload, mode) simulations lazily
-and caches results, so the figures share runs — Fig. 5, Fig. 7, and
-Table III all reuse the same ``tea`` runs, exactly as one simulation
-campaign would.
+The :class:`ExperimentSuite` runs every (workload, mode) cell through
+a :class:`~repro.harness.executor.CampaignExecutor` and caches its
+:class:`~repro.harness.executor.RunOutcome`, so the figures share
+runs — Fig. 5, Fig. 7, and Table III all reuse the same ``tea`` runs,
+exactly as one simulation campaign would.
 
 Each ``fig*``/``table*`` method returns a plain dict of series (for
 tests and downstream tooling) and a ``render_*`` helper produces the
@@ -12,14 +13,14 @@ paper-style text table.
 
 from __future__ import annotations
 
-from ..core import SimStats, SimulationError
+from ..core import SimStats
 from ..workloads import (
     complex_control_flow_names,
     simple_control_flow_names,
     workload_names,
 )
+from .executor import CampaignExecutor, RunOutcome, RunSpec, matrix_specs
 from .reporting import format_table, geomean, speedup_percent
-from .runner import RunResult, ValidationError, run_workload
 
 #: Modes each figure needs, for executor-driven matrix pre-runs.
 FIGURE_MODES = {
@@ -45,77 +46,63 @@ PAPER_PREFETCH_ONLY_GAIN = 1.2
 
 
 class ExperimentSuite:
-    """Lazily-cached simulation campaign over all workloads/modes.
+    """Cached simulation campaign over all workloads/modes.
 
-    Fault tolerance: a run that dies with a :class:`SimulationError` or
-    :class:`ValidationError` is cached as a *failed cell* (zeroed stats,
-    ``failure`` kind set) instead of aborting the whole campaign;
-    figures mark those cells and compute aggregates over the surviving
-    workloads.  An optional :class:`~repro.harness.executor
-    .CampaignExecutor` fans matrix pre-runs (:meth:`run_matrix`) out
-    over worker processes with timeouts, retry, and checkpoint/resume.
+    Every cell runs through ``executor`` (inline by default): a cache
+    miss runs that one cell, :meth:`run_matrix` pre-runs a whole
+    workloads × modes matrix, with the executor's timeouts, retry and
+    checkpoint/resume.  A failed cell stays in the cache as a failed
+    :class:`RunOutcome`; figures mark it with its failure kind and
+    compute aggregates over the surviving workloads.
     """
 
     def __init__(
         self,
         scale: str = "bench",
         workloads: tuple[str, ...] | None = None,
-        executor=None,
+        executor: CampaignExecutor | None = None,
     ):
         self.scale = scale
         self.workloads = tuple(workloads) if workloads else workload_names()
-        self.executor = executor
-        self._cache: dict[tuple[str, str], RunResult] = {}
+        self.executor = executor or CampaignExecutor(jobs=0)
+        self._cache: dict[tuple[str, str], RunOutcome] = {}
 
-    def result(self, workload: str, mode: str) -> RunResult:
+    def result(self, workload: str, mode: str) -> RunOutcome:
         key = (workload, mode)
         if key not in self._cache:
-            try:
-                self._cache[key] = run_workload(workload, mode, self.scale)
-            except (SimulationError, ValidationError) as exc:
-                self._cache[key] = RunResult(
-                    workload=workload,
-                    mode=mode,
-                    stats=SimStats(),
-                    validated=False,
-                    halted=False,
-                    failure="fatal",
-                    error=str(exc),
-                )
+            self._execute([RunSpec(workload, mode, self.scale)])
         return self._cache[key]
-
-    # -- executor integration ------------------------------------------
-    def prime(self, outcomes) -> None:
-        """Preload the cache from executor :class:`RunOutcome` records
-        (failed cells included, as marked placeholder results)."""
-        for outcome in outcomes:
-            key = (outcome.spec.workload, outcome.spec.mode)
-            self._cache[key] = outcome.run_result()
 
     def run_matrix(
         self,
         modes,
         checkpoint=None,
         resume: bool = False,
-    ):
-        """Execute workloads × modes through the attached executor (or
-        inline when none is attached) and prime the cache."""
-        from .executor import CampaignExecutor, matrix_specs
-
-        executor = self.executor or CampaignExecutor(jobs=0)
+    ) -> list[RunOutcome]:
+        """Execute workloads × modes through the executor and cache the
+        outcomes (failed cells included)."""
         specs = matrix_specs(self.workloads, modes, scale=self.scale)
-        outcomes = executor.run(specs, checkpoint=checkpoint, resume=resume)
-        self.prime(outcomes)
+        return self._execute(specs, checkpoint=checkpoint, resume=resume)
+
+    def _execute(self, specs, checkpoint=None, resume: bool = False):
+        outcomes = self.executor.run(
+            specs, checkpoint=checkpoint, resume=resume
+        )
+        for outcome in outcomes:
+            self._cache[(outcome.spec.workload, outcome.spec.mode)] = outcome
         return outcomes
 
     # -- failure bookkeeping -------------------------------------------
     def failures(self) -> dict[str, str]:
         """``{"workload/mode": failure_kind}`` for every failed cell."""
         return {
-            f"{w}/{m}": result.failure
-            for (w, m), result in sorted(self._cache.items())
-            if result.failure is not None
+            f"{w}/{m}": outcome.failure.kind
+            for (w, m), outcome in sorted(self._cache.items())
+            if not outcome.ok
         }
+
+    def _stats(self, name: str, mode: str) -> SimStats:
+        return self.result(name, mode).sim_stats()
 
     def _ok(self, name: str, *modes: str) -> bool:
         return all(self.result(name, mode).ok for mode in modes)
@@ -128,9 +115,9 @@ class ExperimentSuite:
         """``value`` when every involved run succeeded, else a marker
         naming the failure kind (for rendered tables)."""
         for mode in modes:
-            result = self.result(name, mode)
-            if not result.ok:
-                return f"FAILED({result.failure})"
+            outcome = self.result(name, mode)
+            if not outcome.ok:
+                return f"FAILED({outcome.failure.kind})"
         return value
 
     def _speedups(self, mode: str) -> dict[str, float | None]:
@@ -140,8 +127,8 @@ class ExperimentSuite:
             if not self._ok(name, "baseline", mode):
                 out[name] = None
                 continue
-            base = self.result(name, "baseline").ipc
-            out[name] = speedup_percent(self.result(name, mode).ipc, base)
+            base = self._stats(name, "baseline").ipc
+            out[name] = speedup_percent(self._stats(name, mode).ipc, base)
         return out
 
     def _gm_speedup(self, mode: str, names) -> float:
@@ -150,8 +137,8 @@ class ExperimentSuite:
         if not names:
             return 0.0
         return speedup_percent(
-            geomean([self.result(n, mode).ipc for n in names]),
-            geomean([self.result(n, "baseline").ipc for n in names]),
+            geomean([self._stats(n, mode).ipc for n in names]),
+            geomean([self._stats(n, "baseline").ipc for n in names]),
         )
 
     # ==================================================================
@@ -184,7 +171,7 @@ class ExperimentSuite:
     # ==================================================================
     def fig6(self) -> dict:
         mpki = {
-            n: (self.result(n, "baseline").stats.mpki
+            n: (self._stats(n, "baseline").mpki
                 if self._ok(n, "baseline") else None)
             for n in self.workloads
         }
@@ -208,7 +195,7 @@ class ExperimentSuite:
     def fig7(self) -> dict:
         breakdown = {}
         for name in self._complete(self.workloads, "tea"):
-            stats = self.result(name, "tea").stats
+            stats = self._stats(name, "tea")
             total = (
                 stats.covered_timely
                 + stats.covered_late
@@ -365,7 +352,7 @@ class ExperimentSuite:
             coverage[label] = {}
             timeliness[label] = {}
             for name in self._complete(self.workloads, mode):
-                stats = self.result(name, mode).stats
+                stats = self._stats(name, mode)
                 accuracy[label][name] = 100.0 * stats.tea_accuracy
                 coverage[label][name] = 100.0 * stats.coverage
                 timeliness[label][name] = stats.avg_cycles_saved
@@ -434,8 +421,8 @@ class ExperimentSuite:
     def table3(self) -> dict:
         increase = {}
         for name in self._complete(self.workloads, "baseline", "tea"):
-            base = self.result(name, "baseline").stats
-            tea = self.result(name, "tea").stats
+            base = self._stats(name, "baseline")
+            tea = self._stats(name, "tea")
             if base.footprint_uops:
                 increase[name] = 100.0 * (
                     tea.footprint_uops / base.footprint_uops - 1.0

@@ -158,13 +158,7 @@ MODES = (
 
 @dataclass
 class RunResult:
-    """One (workload, mode) simulation outcome.
-
-    ``failure`` is ``None`` for a successful run; a failed campaign cell
-    is represented by a placeholder result with zeroed stats and
-    ``failure`` set to the failure kind (``"fatal"``, ``"retryable"``,
-    ``"timeout"``), so figures can mark the cell instead of aborting.
-    """
+    """One (workload, mode) simulation outcome."""
 
     workload: str
     mode: str
@@ -172,15 +166,9 @@ class RunResult:
     validated: bool
     halted: bool
     observation: Observation | None = None
-    failure: str | None = None
-    error: str | None = None
     #: The pipeline's :class:`~repro.obs.profiler.PipelineProfiler`
     #: when the run was profiled (``profile=True``), else ``None``.
     profiler: object | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
 
     @property
     def ipc(self) -> float:

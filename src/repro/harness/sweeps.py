@@ -17,21 +17,12 @@ figures; each sweep here reproduces one:
 
 from __future__ import annotations
 
-from ..core import Pipeline, SimConfig
+from ..core import SimConfig
 from ..core.config import CoreConfig
 from ..frontend.decoupled import FrontendConfig
 from ..tea import TeaConfig
-from ..workloads import make_workload
 from .reporting import geomean, speedup_percent
-
-
-def _run(workload_name: str, scale: str, config: SimConfig):
-    wl = make_workload(workload_name, scale)
-    pipeline = Pipeline(wl.program, wl.fresh_memory(), config)
-    stats = pipeline.run(max_cycles=30_000_000)
-    if pipeline.halted and wl.validate is not None:
-        assert wl.validate(pipeline), f"{workload_name} failed validation"
-    return stats
+from .runner import run_workload
 
 
 def h2p_marking_sweep(
@@ -48,15 +39,15 @@ def h2p_marking_sweep(
     start to hurt timeliness — shows up as coverage falling when the
     threshold rises (fewer branches marked).
     """
+    base = {name: run_workload(name, "baseline", scale).ipc for name in workloads}
     out: dict = {"thresholds": thresholds, "coverage": {}, "speedup": {}}
     for threshold in thresholds:
-        tea = TeaConfig(h2p_threshold=threshold)
+        config = SimConfig(tea=TeaConfig(h2p_threshold=threshold))
         coverages, speedups = [], []
         for name in workloads:
-            base = _run(name, scale, SimConfig())
-            stats = _run(name, scale, SimConfig(tea=tea))
+            stats = run_workload(name, "tea", scale, config=config).stats
             coverages.append(stats.coverage)
-            speedups.append(speedup_percent(stats.ipc, base.ipc))
+            speedups.append(speedup_percent(stats.ipc, base[name]))
         out["coverage"][threshold] = sum(coverages) / len(coverages)
         out["speedup"][threshold] = sum(speedups) / len(speedups)
     return out
@@ -72,17 +63,17 @@ def block_cache_sweep(
     The paper reports deepsjeng/omnetpp gain ~5% from a larger Block
     Cache because their static footprints overflow 512 entries.
     """
+    base = {name: run_workload(name, "baseline", scale).ipc for name in workloads}
     out: dict = {"sizes": sizes, "coverage": {}, "speedup": {}}
     for size in sizes:
-        tea = TeaConfig(
+        config = SimConfig(tea=TeaConfig(
             block_cache_entries=size, empty_tag_entries=max(2, size // 2)
-        )
+        ))
         coverages, speedups = [], []
         for name in workloads:
-            base = _run(name, scale, SimConfig())
-            stats = _run(name, scale, SimConfig(tea=tea))
+            stats = run_workload(name, "tea", scale, config=config).stats
             coverages.append(stats.coverage)
-            speedups.append(speedup_percent(stats.ipc, base.ipc))
+            speedups.append(speedup_percent(stats.ipc, base[name]))
         out["coverage"][size] = sum(coverages) / len(coverages)
         out["speedup"][size] = sum(speedups) / len(speedups)
     return out
@@ -103,8 +94,13 @@ def ftq_sweep(
         frontend = FrontendConfig(ftq_capacity=capacity)
         speedups, saved = [], []
         for name in workloads:
-            base = _run(name, scale, SimConfig(frontend=frontend))
-            stats = _run(name, scale, SimConfig(frontend=frontend, tea=TeaConfig()))
+            base = run_workload(
+                name, "baseline", scale, config=SimConfig(frontend=frontend)
+            )
+            stats = run_workload(
+                name, "tea", scale,
+                config=SimConfig(frontend=frontend, tea=TeaConfig()),
+            ).stats
             speedups.append(speedup_percent(stats.ipc, base.ipc))
             saved.append(stats.avg_cycles_saved)
         out["speedup"][capacity] = sum(speedups) / len(speedups)
@@ -134,9 +130,13 @@ def wide_frontend_comparison(
     )
     base_ipcs, wide_ipcs, tea_ipcs = [], [], []
     for name in workloads:
-        base_ipcs.append(_run(name, scale, SimConfig()).ipc)
-        wide_ipcs.append(_run(name, scale, SimConfig(core=wide_core)).ipc)
-        tea_ipcs.append(_run(name, scale, SimConfig(tea=TeaConfig())).ipc)
+        base_ipcs.append(run_workload(name, "baseline", scale).ipc)
+        wide_ipcs.append(
+            run_workload(
+                name, "wide", scale, config=SimConfig(core=wide_core)
+            ).ipc
+        )
+        tea_ipcs.append(run_workload(name, "tea", scale).ipc)
     return {
         "wide_pct": speedup_percent(geomean(wide_ipcs), geomean(base_ipcs)),
         "tea_pct": speedup_percent(geomean(tea_ipcs), geomean(base_ipcs)),
@@ -154,12 +154,10 @@ def prior_work_comparison(
     overrides from a chain engine) < the TEA thread (early flushes) —
     each relaxes the previous one's constraint.
     """
-    from .runner import make_config
-
     ipcs: dict[str, list[float]] = {m: [] for m in ("baseline", "crisp", "runahead", "tea")}
     for name in workloads:
         for mode in ipcs:
-            ipcs[mode].append(_run(name, scale, make_config(mode)).ipc)
+            ipcs[mode].append(run_workload(name, mode, scale).ipc)
     base = geomean(ipcs["baseline"])
     return {
         mode: speedup_percent(geomean(values), base)

@@ -26,6 +26,7 @@ smoke job diff directly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -203,50 +204,55 @@ def run_sampled(
                 position=ckpt.position,
             )
 
-    # Ship each window as one executor cell.
+    # Ship each window as one executor cell.  Window files live in a
+    # caller-given ``workdir`` (kept) or a temporary directory removed
+    # once every window has settled.
     if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="repro-sample-")
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    specs = []
-    for index, (start, position) in enumerate(plans):
-        ckpt = by_position.get(position)
-        if ckpt is None:  # functional run halted before this position
-            continue
-        path = workdir / f"window-{index:03d}.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": WINDOW_FILE_SCHEMA,
-                    "index": index,
-                    "start": start,
-                    "mode": mode,
-                    "warmup": start - position,
-                    "measure": measure,
-                    "checkpoint": ckpt.as_record(),
-                },
-                sort_keys=True,
+        scratch = tempfile.TemporaryDirectory(prefix="repro-sample-")
+    else:
+        scratch = contextlib.nullcontext(workdir)
+    with scratch as workdir:
+        workdir = Path(workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
+        specs = []
+        for index, (start, position) in enumerate(plans):
+            ckpt = by_position.get(position)
+            if ckpt is None:  # functional run halted before this position
+                continue
+            path = workdir / f"window-{index:03d}.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "schema": WINDOW_FILE_SCHEMA,
+                        "index": index,
+                        "start": start,
+                        "mode": mode,
+                        "warmup": start - position,
+                        "measure": measure,
+                        "checkpoint": ckpt.as_record(),
+                    },
+                    sort_keys=True,
+                )
+                + "\n"
             )
-            + "\n"
-        )
-        specs.append(
-            RunSpec(
-                workload=str(path),
-                mode=mode,
-                scale=scale,
-                max_cycles=WINDOW_MAX_CYCLES,
-                seed=index,
+            specs.append(
+                RunSpec(
+                    workload=str(path),
+                    mode=mode,
+                    scale=scale,
+                    max_cycles=WINDOW_MAX_CYCLES,
+                    seed=index,
+                )
             )
-        )
 
-    executor = CampaignExecutor(
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        task=execute_window,
-        observation=observation,
-    )
-    outcomes = executor.run(specs)
+        executor = CampaignExecutor(
+            jobs=jobs,
+            timeout=timeout,
+            retries=retries,
+            task=execute_window,
+            observation=observation,
+        )
+        outcomes = executor.run(specs)
     failed = [o for o in outcomes if not o.ok]
     if failed:
         detail = "; ".join(

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -34,12 +36,19 @@ class TestCommands:
         assert "coverage" in out
         assert "validated         True" in out
 
-    def test_compare(self, capsys):
-        code = main(["compare", "xz", "--modes", "baseline,tea"])
+    def test_run_modes_compares(self, capsys):
+        code = main(["run", "xz", "--modes", "baseline,tea", "--jobs", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "baseline" in out and "tea" in out
-        assert "speedup" in out
+        header = out.splitlines()[0].split()
+        assert header[:5] == ["run", "status", "IPC", "MPKI", "speedup"]
+        rows = {line.split()[0]: line.split() for line in out.splitlines()
+                if line.startswith("xz/")}
+        # IPC, MPKI, then the speedup over the same workload's baseline.
+        assert rows["xz/baseline"][4] == "+0.0%"
+        assert re.fullmatch(r"[+-]\d+\.\d%", rows["xz/tea"][4])
+        assert float(rows["xz/tea"][3]) > 0
+        assert "2/2 ok" in out and "0 resumed from checkpoint" in out
 
     def test_figure(self, capsys):
         code = main(["figure", "fig6", "--workloads", "xz", "--scale", "tiny"])

@@ -1,6 +1,7 @@
 """Tests for sampled-window scheduling, execution, and extrapolation."""
 
 import json
+import tempfile
 
 import pytest
 
@@ -82,6 +83,16 @@ class TestRunSampled:
         a = write_report(serial, tmp_path / "serial.json")
         b = write_report(parallel, tmp_path / "parallel.json")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_workdir_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        report = run_sampled(
+            "bfs", mode="tea", scale="tiny",
+            windows=2, warmup=500, measure=1000,
+        )
+        assert report["windows"]
+        assert not list(tmp_path.glob("repro-sample-*"))
 
     def test_window_files_are_self_contained(self, tmp_path):
         run_sampled(

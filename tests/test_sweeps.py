@@ -1,6 +1,7 @@
 """Cheap smoke tests for the design-sweep experiments (the heavy
 versions run in benchmarks/test_design_sweeps.py)."""
 
+from repro.core import Pipeline
 from repro.harness import (
     block_cache_sweep,
     ftq_sweep,
@@ -35,3 +36,17 @@ def test_wide_frontend_comparison():
     # The paper's argument must hold even on one kernel: TEA beats a
     # 16-wide frontend by a wide margin.
     assert data["tea_pct"] > data["wide_pct"]
+
+
+def test_h2p_marking_sweep_simulates_baseline_once(monkeypatch):
+    calls = []
+    real_run = Pipeline.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(1)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Pipeline, "run", counting_run)
+    h2p_marking_sweep(("xz",), (1, 6), "tiny")
+    # One shared baseline plus one TEA run per threshold.
+    assert len(calls) == 3
