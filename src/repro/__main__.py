@@ -881,25 +881,21 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    import dataclasses
     from pathlib import Path
 
+    from .core.config import apply_knobs
     from .fuzz import GeneratorProfile, run_fuzz_campaign
 
     profile = GeneratorProfile()
     if args.knobs:
-        overrides = {}
-        fields = {f.name: f.type for f in dataclasses.fields(profile)}
-        for pair in args.knobs.split(","):
-            key, sep, value = pair.partition("=")
-            key = key.strip()
-            if not sep or key not in fields:
-                print(f"fuzz: unknown knob {key!r}; choose from "
-                      f"{', '.join(sorted(fields))}", file=sys.stderr)
-                return 2
-            overrides[key] = (float(value) if "float" in str(fields[key])
-                              else int(value))
-        profile = dataclasses.replace(profile, **overrides)
+        pairs = (pair.partition("=") for pair in args.knobs.split(","))
+        try:
+            profile = apply_knobs(
+                profile, [(key.strip(), value) for key, _, value in pairs]
+            )
+        except ValueError as exc:
+            print(f"fuzz: {exc}", file=sys.stderr)
+            return 2
 
     seeds = range(args.seed_base, args.seed_base + args.seeds)
     corpus = Path(args.corpus) if args.corpus else None

@@ -1030,8 +1030,6 @@ def run_chain_oracle(
     only).  Harness imports are function-level: the analysis layer sits
     below the harness and only this entry point drives a simulation.
     """
-    from dataclasses import replace
-
     from ..harness.runner import make_config, run_workload
     from ..obs import Observation
     from ..workloads import make_workload
@@ -1041,10 +1039,8 @@ def run_chain_oracle(
         raise ValueError(f"mode {mode!r} has no TEA thread to observe")
     bundle = make_workload(workload, scale)
     chains = analyze_chains(bundle.program, config=config.tea)
-    if use_mask:
-        config = replace(
-            config, tea=replace(config.tea, branch_mask=chains.allow_mask())
-        )
+    knobs = {"tea.branch_mask": chains.allow_mask()} if use_mask else {}
+    config = make_config(mode, knobs)
     observation = Observation(record_events=False)
     capture = WalkCapture()
     capture.subscribe(observation.bus)
@@ -1056,10 +1052,7 @@ def run_chain_oracle(
             leads_by_pc.setdefault(event.pc, []).append(lead)
 
     observation.bus.subscribe(on_resolved, ("branch_resolved",))
-    result = run_workload(
-        bundle, mode, scale, observe=observation,
-        config=config if use_mask else None,
-    )
+    result = run_workload(bundle, mode, scale, observe=observation, knobs=knobs)
     report = build_chain_report(chains, workload=bundle.name)
     report["mode"] = mode
     report["scale"] = scale

@@ -13,7 +13,7 @@ campaign run later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from ..frontend.decoupled import FrontendConfig
 from ..memory.hierarchy import MemoryConfig
@@ -26,6 +26,46 @@ class ConfigError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+
+
+def apply_knobs(config, knobs, prefix: str = ""):
+    """``config`` with ``(dotted_path, value)`` knobs applied.
+
+    ``knobs`` is a mapping or pairs, e.g. ``("tea.h2p_threshold", 4)``.
+    Each dataclass on a path is rebuilt by one :func:`dataclasses.replace`,
+    so its ``__post_init__`` validates the result.  A string replacing a
+    number or bool is parsed as that type (``K=V`` command-line pairs).
+    A bad path or value raises :class:`ConfigError`.
+    """
+    names = [f.name for f in fields(config)]
+    changes: dict = {}
+    nested: dict = {}
+    for path, value in dict(knobs).items():
+        head, dot, rest = path.partition(".")
+        if head not in names:
+            raise ConfigError(f"unknown knob {prefix + path!r}; "
+                              f"{type(config).__name__} has {', '.join(names)}")
+        current = getattr(config, head)
+        kind = type(current)
+        if dot and not is_dataclass(current):
+            raise ConfigError(f"knob {prefix + path!r}: {type(config).__name__}"
+                              f".{head} is {current!r}, not a config")
+        if dot:
+            nested.setdefault(head, {})[rest] = value
+            continue
+        if isinstance(value, str) and isinstance(current, (int, float)):
+            try:
+                value = _BOOLS[value.lower()] if kind is bool else kind(value)
+            except (KeyError, ValueError):
+                raise ConfigError(f"knob {prefix + path!r}: cannot parse "
+                                  f"{value!r} as {kind.__name__}") from None
+        changes[head] = value
+    for head, sub in nested.items():
+        changes[head] = apply_knobs(getattr(config, head), sub, f"{prefix}{head}.")
+    return replace(config, **changes)
 
 
 @dataclass(frozen=True)

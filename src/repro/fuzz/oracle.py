@@ -28,7 +28,7 @@ Classification statuses: ``pass`` / ``divergence`` / ``invariant`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core import Pipeline, SimulationError
 from ..harness.runner import make_config
@@ -132,9 +132,7 @@ def classify_source(
         return OracleOutcome(CRASH, "crash:InterpreterError", str(exc), 0, 0)
 
     # Tier 3: cycle-exact pipeline with the invariant auditor on.
-    config = make_config(mode)
-    if check_invariants:
-        config = replace(config, check_invariants=check_invariants)
+    config = make_config(mode, {"check_invariants": check_invariants})
     pipeline = Pipeline(unit.program, _clone(unit.memory), config)
     try:
         stats = pipeline.run(max_cycles=max_cycles)

@@ -108,10 +108,20 @@ class RunSpec:
     # job path.
     fault_kind: str = ""
     fault_seed: int = 0
+    # Overrides of the mode's preset (runner.make_config): a mapping or
+    # ``(dotted_path, value)`` pairs, stored as a path-sorted tuple.
+    knobs: tuple = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "knobs", tuple(sorted(   # JSON lists -> tuples
+            (path, tuple(value) if isinstance(value, list) else value)
+            for path, value in dict(self.knobs).items()
+        )))
 
     @property
     def key(self) -> str:
-        return f"{self.workload}/{self.mode}"
+        knobs = ",".join(f"{path}={value}" for path, value in self.knobs)
+        return f"{self.workload}/{self.mode}" + (f"[{knobs}]" if knobs else "")
 
     def as_record(self) -> dict:
         record = {
@@ -125,6 +135,8 @@ class RunSpec:
         if self.fault_kind:
             record["fault_kind"] = self.fault_kind
             record["fault_seed"] = self.fault_seed
+        if self.knobs:
+            record["knobs"] = [list(pair) for pair in self.knobs]
         return record
 
     @classmethod
@@ -136,10 +148,14 @@ class RunSpec:
         )
 
     def config_digest(self) -> str:
-        """Stable digest of the machine configuration this cell runs."""
+        """Stable digest of the machine configuration this cell runs (or
+        of the error, when the config rejects its mode or knobs)."""
         from .runner import make_config
 
-        text = repr(make_config(self.mode))
+        try:
+            text = repr(make_config(self.mode, self.knobs))
+        except ValueError as exc:
+            text = f"{type(exc).__name__}: {exc}"
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -255,9 +271,9 @@ class CellStore:
 
     The simulator is deterministic, so a cell's outcome is a pure
     function of its :class:`RunSpec` *and* the machine configuration
-    its mode expands to: the key (:func:`cell_key`) hashes both, so a
-    config change invalidates every stored cell of that mode and a
-    different scale, seed or fault never collides.
+    its mode and knobs resolve to: the key (:func:`cell_key`) hashes
+    both, so a config change invalidates every stored cell of that mode
+    and a different scale, seed, fault or knob never collides.
 
     Only outcomes that are themselves a pure function of the key are
     kept: ``ok`` and ``FATAL`` failures.  A ``TIMEOUT`` or an exhausted
@@ -384,6 +400,7 @@ def execute_spec(record: dict) -> dict:
         observe=observe,
         check_invariants=spec.check_invariants,
         fault_plan=fault_plan,
+        knobs=spec.knobs,
     )
     if relay is not None:
         relay.send_snapshot(stats=result.stats, final=True)
@@ -550,7 +567,8 @@ class CampaignExecutor:
         checkpoint: str | Path | CellStore | None = None,
         resume: bool = False,
     ) -> list[RunOutcome]:
-        """Execute every spec; returns outcomes in spec order.
+        """Execute every spec; returns outcomes in spec order.  A spec
+        listed twice runs once; both positions share its outcome.
 
         ``checkpoint`` is a :class:`CellStore` or its directory: every
         storable cell is put there as it settles; with ``resume`` also
@@ -565,12 +583,12 @@ class CampaignExecutor:
         if self.telemetry is not None:
             self.telemetry.register_specs(specs)
 
-        outcomes: dict[str, RunOutcome] = {}
+        outcomes: dict[RunSpec, RunOutcome] = {}   # keyed by the whole spec
         queue: list[_Attempt] = []    # in (ready_at, index) order: a heap
-        for index, spec in enumerate(specs):
+        for index, spec in enumerate(dict.fromkeys(specs)):
             stored = store.get(spec) if store is not None and resume else None
             if stored is not None:
-                outcomes[spec.key] = stored
+                outcomes[spec] = stored
                 if self.telemetry is not None:
                     self.telemetry.on_run_settled(stored)
             else:
@@ -581,7 +599,7 @@ class CampaignExecutor:
         # A drain (``stop`` hook) leaves unfinished cells unsettled;
         # they are simply absent from the returned list and stay
         # resumable from the store.
-        return [outcomes[spec.key] for spec in specs if spec.key in outcomes]
+        return [outcomes[spec] for spec in specs if spec in outcomes]
 
     def _backoff_delay(self, attempt: int) -> tuple[float, float]:
         """``(base, jittered)`` delay before re-attempting."""
@@ -658,7 +676,7 @@ class CampaignExecutor:
                 failure=failure,
                 duration=self._clock() - item.started,
             )
-            outcomes[item.spec.key] = outcome
+            outcomes[item.spec] = outcome
             if store is not None:
                 store.put(outcome)
             if self.telemetry is not None:

@@ -1,33 +1,21 @@
 """Simulation runner: named machine configurations + result records.
 
-The *modes* map one-to-one to the machine configurations evaluated in
-the paper:
-
-==================  ====================================================
-mode                paper artifact
-==================  ====================================================
-baseline            the aggressive 8-wide OoO core (Table I)
-tea                 TEA thread, on-core resources (Fig. 5)
-tea_dedicated       TEA thread on a dedicated execution engine (Fig. 9)
-tea_prefetch_only   TEA without early resolution — §V-B's 1.2% check
-tea_only_loops      Fig. 10 "only loops" ablation
-tea_no_masks        Fig. 10 "no masks" ablation
-tea_no_mem          Fig. 10 "no mem" ablation
-tea_no_features     Fig. 10 "no features" point (39% coverage)
-runahead            the Branch Runahead comparison baseline (Fig. 8)
-crisp               CRISP/IBDA critical-slice prioritization (§II)
-==================  ====================================================
+The *modes* are :class:`SimConfig` presets (:data:`PRESETS`), one per
+machine configuration evaluated in the paper; a run may override any
+field of its mode's preset with dotted-path knobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core import Pipeline, SimConfig, SimStats
+from ..core.config import ConfigError, apply_knobs
+from ..crisp import CrispConfig
 from ..isa import run_program
 from ..obs import Observation
 from ..runahead import RunaheadConfig
-from ..tea import TeaConfig, tea_ablation
+from ..tea import TeaConfig
 from ..workloads import Workload, make_workload
 
 
@@ -115,45 +103,39 @@ def _first_divergence(workload: Workload, pipeline: Pipeline) -> dict | None:
     return None
 
 
-def make_config(mode: str) -> SimConfig:
-    """Build the :class:`SimConfig` for a named machine mode."""
-    if mode == "baseline":
-        return SimConfig()
-    if mode == "tea":
-        return SimConfig(tea=TeaConfig())
-    if mode == "tea_dedicated":
-        return SimConfig(tea=replace(TeaConfig(), dedicated_engine=True))
-    if mode == "tea_prefetch_only":
-        return SimConfig(tea=replace(TeaConfig(), early_resolution=False))
-    if mode == "tea_only_loops":
-        return SimConfig(tea=tea_ablation("only_loops"))
-    if mode == "tea_no_masks":
-        return SimConfig(tea=tea_ablation("no_masks"))
-    if mode == "tea_no_mem":
-        return SimConfig(tea=tea_ablation("no_mem"))
-    if mode == "tea_no_features":
-        return SimConfig(tea=tea_ablation("no_features"))
-    if mode == "runahead":
-        return SimConfig(runahead=RunaheadConfig())
-    if mode == "crisp":
-        from ..crisp import CrispConfig
+#: The named machine modes, each the :class:`SimConfig` of one machine
+#: evaluated in the paper (``MODES`` keeps this order).
+PRESETS: dict[str, SimConfig] = {
+    # the aggressive 8-wide OoO core (Table I)
+    "baseline": SimConfig(),
+    # TEA thread, on-core resources (Fig. 5)
+    "tea": SimConfig(tea=TeaConfig()),
+    # TEA thread on a dedicated execution engine (Fig. 9)
+    "tea_dedicated": SimConfig(tea=TeaConfig(dedicated_engine=True)),
+    # TEA without early resolution: §V-B's 1.2% check
+    "tea_prefetch_only": SimConfig(tea=TeaConfig(early_resolution=False)),
+    # Fig. 10 ablations; "no features" is the 39%-coverage point
+    "tea_only_loops": SimConfig(tea=TeaConfig(only_loops=True)),
+    "tea_no_masks": SimConfig(tea=TeaConfig(use_masks=False)),
+    "tea_no_mem": SimConfig(tea=TeaConfig(trace_memory=False)),
+    "tea_no_features": SimConfig(tea=TeaConfig(
+        only_loops=True, use_masks=False, trace_memory=False
+    )),
+    # the Branch Runahead comparison baseline (Fig. 8)
+    "runahead": SimConfig(runahead=RunaheadConfig()),
+    # CRISP/IBDA critical-slice prioritization (§II)
+    "crisp": SimConfig(crisp=CrispConfig()),
+}
 
-        return SimConfig(crisp=CrispConfig())
-    raise ValueError(f"unknown mode {mode!r}")
+MODES = tuple(PRESETS)
 
 
-MODES = (
-    "baseline",
-    "tea",
-    "tea_dedicated",
-    "tea_prefetch_only",
-    "tea_only_loops",
-    "tea_no_masks",
-    "tea_no_mem",
-    "tea_no_features",
-    "runahead",
-    "crisp",
-)
+def make_config(mode: str, knobs=()) -> SimConfig:
+    """The preset of ``mode`` with ``knobs`` such as
+    ``{"tea.h2p_threshold": 4}`` applied (see :func:`apply_knobs`)."""
+    if mode not in PRESETS:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return apply_knobs(PRESETS[mode], knobs) if knobs else PRESETS[mode]
 
 
 @dataclass
@@ -184,7 +166,7 @@ def run_workload(
     check_invariants: int = 0,
     fault_plan: object | None = None,
     profile: bool = False,
-    config: SimConfig | None = None,
+    knobs=(),
 ) -> RunResult:
     """Simulate one workload under one machine mode, to completion.
 
@@ -207,20 +189,15 @@ def run_workload(
     (:mod:`repro.obs.profiler`); the profiler comes back on
     ``RunResult.profiler``.  Profiling never perturbs simulated state.
 
-    ``config`` replaces the mode-derived :class:`SimConfig` (e.g. a TEA
-    config carrying a static branch mask); ``mode`` is still recorded
-    on the result for reporting.
+    ``knobs`` override fields of the mode's preset (see
+    :func:`make_config`), e.g. ``{"tea.branch_mask": mask}``.
     """
+    config = make_config(mode, {
+        "check_invariants": check_invariants, "fault_plan": fault_plan,
+        "profile": profile, **dict(knobs),
+    })
     if isinstance(workload, str):
         workload = make_workload(workload, scale)
-    if config is None:
-        config = make_config(mode)
-    if check_invariants or fault_plan is not None:
-        config = replace(
-            config, check_invariants=check_invariants, fault_plan=fault_plan
-        )
-    if profile:
-        config = replace(config, profile=True)
     pipeline = Pipeline(workload.program, workload.fresh_memory(), config)
     observation: Observation | None = None
     if observe is True:

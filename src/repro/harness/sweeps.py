@@ -13,16 +13,60 @@ figures; each sweep here reproduces one:
 * §IV-H — a true 16-wide frontend costs far more than the TEA thread
   and yields little (~2.8%) because predictor bandwidth, not width,
   is the limiter.
+
+Every sweep point is a :class:`~repro.harness.executor.RunSpec` cell — a
+named mode plus dotted-path knobs — run through the
+:class:`~repro.harness.executor.CampaignExecutor`.
 """
 
 from __future__ import annotations
 
-from ..core import SimConfig
-from ..core.config import CoreConfig
-from ..frontend.decoupled import FrontendConfig
-from ..tea import TeaConfig
+from .executor import CampaignExecutor, RunSpec
 from .reporting import geomean, speedup_percent
-from .runner import run_workload
+
+
+def _simulate(specs) -> dict:
+    """Each spec's SimStats, run inline through the executor (a spec
+    listed twice runs once); a failed cell raises."""
+    outcomes = CampaignExecutor(jobs=0).run(specs)
+    for o in outcomes:
+        if not o.ok:
+            raise RuntimeError(f"sweep cell {o.key} failed: "
+                               f"{o.failure.exception}: {o.failure.message}")
+    return {o.spec: o.sim_stats() for o in outcomes}
+
+
+def _tea_sweep(workloads, values, scale, knobs, baseline_knobs=lambda v: ()):
+    """Per swept value: the workloads' mean TEA coverage, speedup over
+    the baseline, and cycles saved.  ``knobs(value)`` overrides the
+    ``tea`` cells and ``baseline_knobs(value)`` the baselines — knob-free
+    by default, so one baseline per workload serves every value."""
+    cells = [(value, RunSpec(name, "tea", scale, knobs=knobs(value)),
+              RunSpec(name, "baseline", scale, knobs=baseline_knobs(value)))
+             for value in values for name in workloads]
+    stats = _simulate([spec for _, *pair in cells for spec in pair])
+    out: dict = {"coverage": {}, "speedup": {}, "cycles_saved": {}}
+    for value in values:
+        runs = [(stats[tea], stats[base].ipc)
+                for v, tea, base in cells if v == value]
+        out["coverage"][value] = sum(s.coverage for s, _ in runs) / len(runs)
+        out["speedup"][value] = sum(
+            speedup_percent(s.ipc, base) for s, base in runs) / len(runs)
+        out["cycles_saved"][value] = sum(
+            s.avg_cycles_saved for s, _ in runs) / len(runs)
+    return out
+
+
+def _geomean_speedups(machines: dict, workloads, scale) -> dict:
+    """Geomean speedup % of each ``label: (mode, knobs)`` machine over
+    the first one, across the workloads."""
+    stats = _simulate(RunSpec(name, mode, scale, knobs=knobs)
+                      for mode, knobs in machines.values() for name in workloads)
+    ipc = [geomean([stats[RunSpec(name, mode, scale, knobs=knobs)].ipc
+                    for name in workloads])
+           for mode, knobs in machines.values()]
+    return {label: speedup_percent(value, ipc[0])
+            for label, value in list(zip(machines, ipc))[1:]}
 
 
 def h2p_marking_sweep(
@@ -39,18 +83,8 @@ def h2p_marking_sweep(
     start to hurt timeliness — shows up as coverage falling when the
     threshold rises (fewer branches marked).
     """
-    base = {name: run_workload(name, "baseline", scale).ipc for name in workloads}
-    out: dict = {"thresholds": thresholds, "coverage": {}, "speedup": {}}
-    for threshold in thresholds:
-        config = SimConfig(tea=TeaConfig(h2p_threshold=threshold))
-        coverages, speedups = [], []
-        for name in workloads:
-            stats = run_workload(name, "tea", scale, config=config).stats
-            coverages.append(stats.coverage)
-            speedups.append(speedup_percent(stats.ipc, base[name]))
-        out["coverage"][threshold] = sum(coverages) / len(coverages)
-        out["speedup"][threshold] = sum(speedups) / len(speedups)
-    return out
+    return {"thresholds": thresholds, **_tea_sweep(
+        workloads, thresholds, scale, lambda t: {"tea.h2p_threshold": t})}
 
 
 def block_cache_sweep(
@@ -63,20 +97,9 @@ def block_cache_sweep(
     The paper reports deepsjeng/omnetpp gain ~5% from a larger Block
     Cache because their static footprints overflow 512 entries.
     """
-    base = {name: run_workload(name, "baseline", scale).ipc for name in workloads}
-    out: dict = {"sizes": sizes, "coverage": {}, "speedup": {}}
-    for size in sizes:
-        config = SimConfig(tea=TeaConfig(
-            block_cache_entries=size, empty_tag_entries=max(2, size // 2)
-        ))
-        coverages, speedups = [], []
-        for name in workloads:
-            stats = run_workload(name, "tea", scale, config=config).stats
-            coverages.append(stats.coverage)
-            speedups.append(speedup_percent(stats.ipc, base[name]))
-        out["coverage"][size] = sum(coverages) / len(coverages)
-        out["speedup"][size] = sum(speedups) / len(speedups)
-    return out
+    return {"sizes": sizes, **_tea_sweep(workloads, sizes, scale, lambda n: {
+        "tea.block_cache_entries": n, "tea.empty_tag_entries": max(2, n // 2),
+    })}
 
 
 def ftq_sweep(
@@ -87,25 +110,22 @@ def ftq_sweep(
     """Sweep the fetch-queue capacity (paper §III-B).
 
     The FTQ bounds how far the decoupled predictor — and therefore the
-    TEA thread — can run ahead of the main thread.
+    TEA thread — can run ahead of the main thread.  The baseline gets
+    the same capacity as the TEA machine it is compared with.
     """
-    out: dict = {"capacities": capacities, "speedup": {}, "cycles_saved": {}}
-    for capacity in capacities:
-        frontend = FrontendConfig(ftq_capacity=capacity)
-        speedups, saved = [], []
-        for name in workloads:
-            base = run_workload(
-                name, "baseline", scale, config=SimConfig(frontend=frontend)
-            )
-            stats = run_workload(
-                name, "tea", scale,
-                config=SimConfig(frontend=frontend, tea=TeaConfig()),
-            ).stats
-            speedups.append(speedup_percent(stats.ipc, base.ipc))
-            saved.append(stats.avg_cycles_saved)
-        out["speedup"][capacity] = sum(speedups) / len(speedups)
-        out["cycles_saved"][capacity] = sum(saved) / len(saved)
-    return out
+    def ftq(capacity):
+        return {"frontend.ftq_capacity": capacity}
+
+    return {"capacities": capacities,
+            **_tea_sweep(workloads, capacities, scale, ftq, ftq)}
+
+
+#: The true 16-wide core of §IV-H, as knobs over the baseline preset.
+WIDE_CORE = {
+    "core.fetch_width": 16, "core.rename_width": 16, "core.issue_width": 16,
+    "core.retire_width": 32, "core.alu_ports": 12, "core.load_ports": 8,
+    "core.store_ports": 4, "core.fp_ports": 4,
+}
 
 
 def wide_frontend_comparison(
@@ -118,30 +138,13 @@ def wide_frontend_comparison(
     predictor still delivers one taken branch per cycle; the TEA thread
     is the better use of the transistors.
     """
-    wide_core = CoreConfig(
-        fetch_width=16,
-        rename_width=16,
-        issue_width=16,
-        retire_width=32,
-        alu_ports=12,
-        load_ports=8,
-        store_ports=4,
-        fp_ports=4,
+    pct = _geomean_speedups(
+        {"base": ("baseline", ()), "wide": ("baseline", WIDE_CORE),
+         "tea": ("tea", ())},
+        workloads, scale,
     )
-    base_ipcs, wide_ipcs, tea_ipcs = [], [], []
-    for name in workloads:
-        base_ipcs.append(run_workload(name, "baseline", scale).ipc)
-        wide_ipcs.append(
-            run_workload(
-                name, "wide", scale, config=SimConfig(core=wide_core)
-            ).ipc
-        )
-        tea_ipcs.append(run_workload(name, "tea", scale).ipc)
-    return {
-        "wide_pct": speedup_percent(geomean(wide_ipcs), geomean(base_ipcs)),
-        "tea_pct": speedup_percent(geomean(tea_ipcs), geomean(base_ipcs)),
-        "paper_wide_pct": 2.8,
-    }
+    return {"wide_pct": pct["wide"], "tea_pct": pct["tea"],
+            "paper_wide_pct": 2.8}
 
 
 def prior_work_comparison(
@@ -154,13 +157,5 @@ def prior_work_comparison(
     overrides from a chain engine) < the TEA thread (early flushes) —
     each relaxes the previous one's constraint.
     """
-    ipcs: dict[str, list[float]] = {m: [] for m in ("baseline", "crisp", "runahead", "tea")}
-    for name in workloads:
-        for mode in ipcs:
-            ipcs[mode].append(run_workload(name, mode, scale).ipc)
-    base = geomean(ipcs["baseline"])
-    return {
-        mode: speedup_percent(geomean(values), base)
-        for mode, values in ipcs.items()
-        if mode != "baseline"
-    }
+    modes = ("baseline", "crisp", "runahead", "tea")
+    return _geomean_speedups({m: (m, ()) for m in modes}, workloads, scale)

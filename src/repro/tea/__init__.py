@@ -1,7 +1,7 @@
 """The TEA thread: timely, efficient, and accurate branch precomputation."""
 
 from .block_cache import BlockCache
-from .config import TeaConfig, tea_ablation
+from .config import TeaConfig
 from .controller import TeaController
 from .fill_buffer import (
     FillBuffer,
@@ -15,7 +15,6 @@ from .store_cache import HALF_LINE_BYTES, TeaStoreCache
 __all__ = [
     "BlockCache",
     "TeaConfig",
-    "tea_ablation",
     "TeaController",
     "FillBuffer",
     "FillEntry",

@@ -10,11 +10,13 @@ paper's Fig. 10:
 * ``only_loops``    — chains recorded only between two consecutive
   instances of an H2P branch (§V-E);
 * ``early_resolution`` — False gives the prefetch-only mode of §V-B.
+
+The named ablation modes are presets in :mod:`repro.harness.runner`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -157,27 +159,3 @@ class TeaConfig:
             f"otherwise no branch can ever be identified as H2P",
         )
 
-
-def tea_ablation(name: str) -> TeaConfig:
-    """Named ablation configs used by Fig. 10 experiments.
-
-    ``tea`` (all features), ``only_loops``, ``no_masks``, ``no_mem``,
-    and ``no_features`` (everything off, the paper's 39%-coverage
-    point).
-    """
-    base = TeaConfig()
-    variants = {
-        "tea": base,
-        "only_loops": replace(base, only_loops=True),
-        "no_masks": replace(base, use_masks=False),
-        "no_mem": replace(base, trace_memory=False),
-        "no_features": replace(
-            base, only_loops=True, use_masks=False, trace_memory=False
-        ),
-    }
-    try:
-        return variants[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown ablation {name!r}; choose from {sorted(variants)}"
-        ) from None

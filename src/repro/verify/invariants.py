@@ -55,6 +55,16 @@ _LIVE_ROB_STATES = (UopState.RENAMED, UopState.EXECUTING, UopState.DONE)
 _LIVE_TEA_STATES = (UopState.RENAMED, UopState.EXECUTING)
 
 
+def _multiset_mismatch(held: list, start: int, stop: int) -> str:
+    """How ``held`` differs from ``range(start, stop)`` taken once each
+    (``""`` when it does not); Counters are built only on a mismatch."""
+    if len(held) == stop - start and set(held) == set(range(start, stop)):
+        return ""
+    have, want = Counter(held), Counter(range(start, stop))
+    return (f"leaked={sorted((want - have).elements())[:8]} "
+            f"double-held={sorted((have - want).elements())[:8]}")
+
+
 class InvariantViolation(RuntimeError):
     """The machine reached a structurally illegal state (a model bug —
     or an injected fault doing its job).
@@ -124,43 +134,31 @@ class InvariantChecker:
         name = "preg_conservation"
         # Main pool: free list + current RAT mappings + in-flight
         # previous mappings (freed at retire) == pregs 1..main_size.
-        held = Counter(preg for preg in prf.main_free)
-        held.update(preg for preg in p.rat.map if preg != 0)
-        held.update(
+        held = [*prf.main_free]
+        held.extend(preg for preg in p.rat.map if preg != 0)
+        held.extend(
             uop.old_dst_preg
             for uop in p.rob
             if uop.old_dst_preg is not None and uop.old_dst_preg != 0
         )
-        expected = Counter(range(1, 1 + prf.main_size))
-        if held != expected:
-            missing = sorted((expected - held).elements())[:8]
-            extra = sorted((held - expected).elements())[:8]
-            self._fail(
-                name,
-                f"main preg multiset mismatch: leaked={missing} "
-                f"double-held={extra}",
-            )
+        mismatch = _multiset_mismatch(held, 1, 1 + prf.main_size)
+        if mismatch:
+            self._fail(name, f"main preg multiset mismatch: {mismatch}")
         tea = p.tea
         if tea is None or prf.tea_size == 0:
             return
         # TEA partition: free list + pregs tracked by the valid-bit /
         # refcount scheme == the pregs above the main pool.
-        tea_free = Counter(prf.tea_free)
+        tea_free = set(prf.tea_free)
         tracked = set(tea._valid) | set(tea._refcount)
-        dup = [preg for preg in tracked if tea_free[preg]]
+        dup = [preg for preg in tracked if preg in tea_free]
         if dup:
             self._fail(name, f"TEA pregs both free and tracked: {sorted(dup)[:8]}")
-        held = tea_free + Counter(tracked)
+        held = [*prf.tea_free, *tracked]
         total = 1 + prf.main_size + prf.tea_size
-        expected = Counter(range(1 + prf.main_size, total))
-        if held != expected:
-            missing = sorted((expected - held).elements())[:8]
-            extra = sorted((held - expected).elements())[:8]
-            self._fail(
-                name,
-                f"TEA preg multiset mismatch: leaked={missing} "
-                f"double-held={extra}",
-            )
+        mismatch = _multiset_mismatch(held, 1 + prf.main_size, total)
+        if mismatch:
+            self._fail(name, f"TEA preg multiset mismatch: {mismatch}")
         stray = tea._refcount_saturated - set(tea._refcount)
         if stray:
             self._fail(
@@ -350,22 +348,20 @@ class InvariantChecker:
                             f"source(s)",
                         )
         # Per-preg wakeup lists must contain exactly the RS-resident
-        # consumers, one entry per source occurrence.
-        want: dict[int, Counter] = {}
-        for uop in resident:
-            for preg in uop.src_pregs:
-                if preg:
-                    want.setdefault(preg, Counter())[id(uop)] += 1
-        for preg, waiters in enumerate(prf.waiters):
-            have = Counter(id(uop) for uop in waiters)
-            expected = want.get(preg, Counter())
-            if have != expected:
-                self._fail(
-                    name,
-                    f"preg {preg} wakeup list mismatch: "
-                    f"{sum(have.values())} subscribed vs "
-                    f"{sum(expected.values())} resident source occurrences",
-                )
+        # consumers, one entry per source occurrence: compare the
+        # (preg, uop) multisets and report the lowest mismatched preg.
+        have = Counter((preg, id(uop))
+                       for preg, waiters in enumerate(prf.waiters)
+                       for uop in waiters)
+        want = Counter((preg, id(uop)) for uop in resident for preg in uop.src_pregs
+                       if preg and 0 < preg < len(prf.waiters))
+        if have != want:
+            preg = min(key[0] for key in (have - want) + (want - have))
+            subscribed, occurrences = (
+                sum(n for key, n in pairs.items() if key[0] == preg)
+                for pairs in (have, want))
+            self._fail(name, f"preg {preg} wakeup list mismatch: {subscribed} "
+                       f"subscribed vs {occurrences} resident source occurrences")
 
     def _check_tea_partition(self) -> None:
         p = self.p

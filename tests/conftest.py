@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from repro import MemoryImage, Pipeline, SimConfig, assemble
 from repro.tea import TeaConfig
+
+# A simulation allocates millions of short-lived objects (uops, branch
+# and prediction records) that reference counting frees on its own; at
+# the default generation-0 threshold of 700 the cyclic collector runs
+# every few hundred of them and costs 3-7% of the suite's wall time.
+gc.set_threshold(100_000, 50, 100)
 
 
 def assemble_and_run(source, memory=None, config=None, max_cycles=2_000_000):

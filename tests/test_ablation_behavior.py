@@ -3,13 +3,13 @@ matter on a kernel crafted to need exactly that feature."""
 
 import random
 
-from repro import MemoryImage, Pipeline, SimConfig, assemble
-from repro.tea import tea_ablation
+from repro import MemoryImage, Pipeline, assemble
+from repro.harness import make_config
 
 
 def run(source, mem_snapshot, mode):
     pipeline = Pipeline(
-        assemble(source), MemoryImage(mem_snapshot), SimConfig(tea=tea_ablation(mode))
+        assemble(source), MemoryImage(mem_snapshot), make_config(mode)
     )
     stats = pipeline.run(max_cycles=5_000_000)
     assert pipeline.halted
@@ -55,7 +55,7 @@ class TestMasksFeature:
     def test_masks_preserve_accuracy_on_multipath(self):
         snap = self._memory()
         _, full = run(self.SOURCE, snap, "tea")
-        _, nomask = run(self.SOURCE, snap, "no_masks")
+        _, nomask = run(self.SOURCE, snap, "tea_no_masks")
         # Removing masks must not *gain* accuracy, and typically loses
         # accuracy or coverage on two-path chains.
         assert full.tea_accuracy >= nomask.tea_accuracy - 0.01
@@ -98,7 +98,7 @@ class TestMemoryFeature:
     def test_memory_tracing_needed_for_store_load_chain(self):
         snap = self._memory()
         pipe_full, full = run(self.SOURCE, snap, "tea")
-        pipe_nomem, nomem = run(self.SOURCE, snap, "no_mem")
+        pipe_nomem, nomem = run(self.SOURCE, snap, "tea_no_mem")
         # With memory tracing the chain is complete and coverage high;
         # without it the chain is cut at the store.
         assert full.coverage > nomem.coverage
@@ -142,7 +142,7 @@ class TestOnlyLoopsFeature:
     def test_full_config_at_least_matches_only_loops(self):
         snap = self._memory()
         _, full = run(self.SOURCE, snap, "tea")
-        _, loops = run(self.SOURCE, snap, "only_loops")
+        _, loops = run(self.SOURCE, snap, "tea_only_loops")
         assert full.coverage >= loops.coverage - 0.05
         # The headline claim of Fig. 10: the full configuration's
         # performance (IPC) is never meaningfully below any ablation.

@@ -29,7 +29,7 @@ from repro.analysis.chains import (
 )
 from repro.analysis.slicer import slice_program
 from repro.core.config import ConfigError
-from repro.harness.runner import make_config, run_workload
+from repro.harness.runner import run_workload
 from repro.obs import Observation
 from repro.tea.config import TeaConfig
 from repro.tea.fill_buffer import FillEntry
@@ -257,21 +257,17 @@ def test_allow_all_mask_is_cycle_exact():
     bundle = make_workload("bfs", "tiny")
     every_branch = tuple(sorted(slice_program(bundle.program).branches))
     base = run_workload(bundle, "tea", "tiny")
-    cfg = make_config("tea")
     masked = run_workload(
-        bundle, "tea", "tiny",
-        config=replace(cfg, tea=replace(cfg.tea, branch_mask=every_branch)),
+        bundle, "tea", "tiny", knobs={"tea.branch_mask": every_branch}
     )
     assert base.stats == masked.stats
 
 
 def test_deny_all_mask_runs_clean_and_reports_denials():
     bundle = make_workload("bfs", "tiny")
-    cfg = make_config("tea")
     obs = Observation(record_events=False)
     result = run_workload(
-        bundle, "tea", "tiny", observe=obs,
-        config=replace(cfg, tea=replace(cfg.tea, branch_mask=())),
+        bundle, "tea", "tiny", observe=obs, knobs={"tea.branch_mask": ()}
     )
     assert result.halted and result.validated
     # Each vetoed H2P PC is reported exactly once.

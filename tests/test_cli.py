@@ -58,6 +58,16 @@ class TestCommands:
     def test_unknown_figure(self, capsys):
         assert main(["figure", "fig99", "--workloads", "xz"]) == 2
 
+    @pytest.mark.parametrize("knobs, message", [
+        ("loops=abc", "fuzz: knob 'loops': cannot parse 'abc' as int"),
+        ("bogus=1", "fuzz: unknown knob 'bogus'"),
+        ("loops=0", "fuzz: GeneratorProfile: loops must be >= 1"),
+    ])
+    def test_fuzz_bad_knob_is_usage_error(self, capsys, knobs, message):
+        assert main(["fuzz", "--seeds", "1", "--knobs", knobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
 
 class TestLintCommand:
     def test_lint_all_clean(self, capsys):

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.harness import (
+    MODES,
     CampaignExecutor,
     CellStore,
     ExperimentSuite,
@@ -262,6 +263,108 @@ class TestCellStore:
         assert cell_key(spec) != cell_key(
             RunSpec("alpha", "baseline", "tiny", seed=1)
         )
+
+
+#: ``cell_key(RunSpec("xz", mode, "tiny"))`` as computed before specs
+#: carried knobs: a knob-free spec must keep its key, so stores written
+#: by older versions still resume.
+PINNED_KEYS = {
+    "baseline": "9f3198e6bb08811f5cfa907efa7a18d923844c6d2939613da17b7e7d6761d074",
+    "tea": "dc022a831db58c970a591b4a43ea4ebd650c32e214254c2680a9214ab3180073",
+    "tea_dedicated":
+        "15e8c5e8de604b6dab438bde71d6400eb679597cf07632589bd3144f00b0caa7",
+    "tea_prefetch_only":
+        "dc8360e06e9fb68ab589fa4cdbd24b5fb23f1c28dbf64a8b6d86f8d33606d640",
+    "tea_only_loops":
+        "1d4df00eededb5495a1ec7aacfb32689e44b9825811eb3a8987f77f4371a29d1",
+    "tea_no_masks":
+        "7bf812bd928caf3628c14ce19f6719e8ae91e67cb52596c08e390d388c1e15cb",
+    "tea_no_mem":
+        "bcc3fb3f944aed90519ed07125970d781f5f0653e52a9be06623864da4a9e5e0",
+    "tea_no_features":
+        "e29b29da41dc25ed02ece7f822c2fa9d48544dbe1afa0e8a9449c7f29f663df2",
+    "runahead": "a9aa26daf35ea0005150f7681b73935149225e588760c57cd2b99b67dae061c8",
+    "crisp": "bcb6652ee4a8ca002e2759d2c68fdf081ad63c614d91b9c2ddb16e447608703c",
+}
+
+
+def knob_echo_task(record):
+    """Reports the cell's h2p threshold knob as its cycle count."""
+    knobs = dict(RunSpec.from_record(record).knobs)
+    return {
+        "stats": {"cycles": knobs.get("tea.h2p_threshold", 0) + 100,
+                  "retired_instructions": 250},
+        "validated": True,
+        "halted": True,
+    }
+
+
+class TestKnobs:
+    @pytest.mark.parametrize("mode", sorted(PINNED_KEYS))
+    def test_knob_free_cell_keys_are_pinned(self, mode):
+        assert cell_key(RunSpec("xz", mode, "tiny")) == PINNED_KEYS[mode]
+
+    def test_every_mode_is_pinned(self):
+        assert set(PINNED_KEYS) == set(MODES)
+
+    def test_knobs_are_canonical(self):
+        a = RunSpec("xz", "tea", knobs={"tea.walk_cycles": 9,
+                                        "frontend.ftq_capacity": 8})
+        b = RunSpec("xz", "tea", knobs=(("frontend.ftq_capacity", 8),
+                                        ("tea.walk_cycles", 9)))
+        assert a == b and hash(a) == hash(b)
+        assert a.knobs == (("frontend.ftq_capacity", 8), ("tea.walk_cycles", 9))
+        assert "knobs" not in RunSpec("xz", "tea").as_record()
+
+    def test_tuple_knob_roundtrips_through_json(self):
+        spec = RunSpec("bfs", "tea", "tiny",
+                       knobs={"tea.branch_mask": (4, 8, 12)})
+        back = RunSpec.from_record(json.loads(json.dumps(spec.as_record())))
+        assert back == spec
+        assert back.knobs == (("tea.branch_mask", (4, 8, 12)),)
+        assert cell_key(back) == cell_key(spec)
+        assert back.config_digest() != RunSpec("bfs", "tea", "tiny").config_digest()
+
+    def test_cells_differing_only_in_knobs_settle_separately(self, tmp_path):
+        specs = [RunSpec("xz", "tea", "tiny", knobs={"tea.h2p_threshold": t})
+                 for t in (1, 4)]
+        assert specs[0].key != specs[1].key
+        outcomes = CampaignExecutor(jobs=0, task=knob_echo_task).run(
+            specs, checkpoint=tmp_path
+        )
+        assert [o.spec for o in outcomes] == specs
+        assert [o.stats["cycles"] for o in outcomes] == [101, 104]
+        assert len(list(tmp_path.glob("*.json"))) == 2
+        store = CellStore(tmp_path)
+        assert [store.get(s).stats["cycles"] for s in specs] == [101, 104]
+
+    def test_identical_specs_run_once(self):
+        calls = []
+
+        def counting_task(record):
+            calls.append(record["workload"])
+            return ok_task(record)
+
+        spec = RunSpec("xz", "baseline", "tiny")
+        outcomes = CampaignExecutor(jobs=0, task=counting_task).run(
+            [spec, RunSpec("xz", "tea", "tiny"), spec]
+        )
+        assert len(outcomes) == 3 and outcomes[0] is outcomes[2]
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("knobs", [
+        {"tea.no_such_knob": 1},
+        {"tea.h2p_threshold": 99},
+    ])
+    def test_bad_knob_settles_as_fatal_config_error(self, knobs, tmp_path):
+        spec = RunSpec("xz", "tea", "tiny", knobs=knobs)
+        [outcome] = CampaignExecutor(jobs=0).run([spec], checkpoint=tmp_path)
+        assert outcome.status == "failed"
+        assert outcome.failure.kind == FATAL
+        assert outcome.failure.exception == "ConfigError"
+        assert outcome.attempts == 1
+        # Fatal outcomes are stored, so a resume does not re-run them.
+        assert CellStore(tmp_path).get(spec).failure.exception == "ConfigError"
 
 
 class TestCheckpointResume:

@@ -1,11 +1,12 @@
 """Contract tests for the harness runner's failure modes and the
-ablation config factory."""
+ablation mode presets."""
 
 import pytest
 
 from repro import MemoryImage, Pipeline, SimConfig, assemble
-from repro.harness import run_workload
-from repro.tea import TeaConfig, tea_ablation
+from repro.core.config import ConfigError
+from repro.harness import make_config, run_workload
+from repro.tea import TeaConfig
 from repro.workloads import build
 from repro.workloads.base import Arena
 
@@ -52,21 +53,27 @@ class TestValidationEnforcement:
 
 
 class TestAblationFactory:
+    """The Fig. 10 ablations are mode presets over :class:`TeaConfig`."""
+
     def test_known_names(self):
-        assert tea_ablation("tea") == TeaConfig()
-        assert tea_ablation("only_loops").only_loops
-        assert not tea_ablation("no_masks").use_masks
-        assert not tea_ablation("no_mem").trace_memory
-        bare = tea_ablation("no_features")
+        assert make_config("tea").tea == TeaConfig()
+        assert make_config("tea_only_loops").tea.only_loops
+        assert not make_config("tea_no_masks").tea.use_masks
+        assert not make_config("tea_no_mem").tea.trace_memory
+        bare = make_config("tea_no_features").tea
         assert bare.only_loops and not bare.use_masks and not bare.trace_memory
+        assert make_config("tea_no_features", {
+            "tea.only_loops": False, "tea.use_masks": True,
+            "tea.trace_memory": True,
+        }) == make_config("tea")
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown ablation"):
-            tea_ablation("extra_crispy")
+        with pytest.raises(ConfigError, match="unknown mode"):
+            make_config("extra_crispy")
 
     def test_configs_are_frozen(self):
         with pytest.raises(Exception):
-            tea_ablation("tea").rs_entries = 5
+            make_config("tea").tea.rs_entries = 5
 
 
 class TestConfigIndependence:

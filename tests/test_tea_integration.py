@@ -8,7 +8,7 @@ engine, and ablations.
 import random
 
 from repro import MemoryImage, Pipeline, SimConfig, assemble
-from repro.tea import TeaConfig, tea_ablation
+from repro.tea import TeaConfig
 
 from tests.conftest import h2p_loop_workload
 
@@ -78,9 +78,11 @@ class TestModes:
 
     def test_ablations_lose_coverage(self):
         source, mem, _ = self._kernel()
-        full = run_cfg(source, mem, tea_ablation("tea"))
+        full = run_cfg(source, mem, TeaConfig())
         source, mem, _ = self._kernel()
-        bare = run_cfg(source, mem, tea_ablation("no_features"))
+        bare = run_cfg(source, mem, TeaConfig(
+            only_loops=True, use_masks=False, trace_memory=False
+        ))
         assert full.stats.coverage >= bare.stats.coverage
 
 
